@@ -2,8 +2,9 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared session builder for the spark-submit entrypoints (one per table;
-  * run e.g. `spark-submit --class repro.jobs.Table2Buildup repro.jar [scale]`).
+/** The program's one session builder: the spark-submit entrypoints (one per
+  * table; run e.g. `spark-submit --class repro.jobs.Table2Buildup repro.jar
+  * [scale]`), the tests and the bench suites all start Spark here.
   */
 object JobUtil {
   def session(app: String): SparkSession =
@@ -12,6 +13,9 @@ object JobUtil {
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      // Off by default: without it AQE never coalesces the final shuffle of a
+      // persisted plan, and every cached DP level keeps all shuffle partitions.
+      .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", true)
       .getOrCreate()
 
   def scaleArg(args: Array[String], default: Double = 1.0): Double =

@@ -24,7 +24,10 @@ import scala.collection.mutable
   * - 0-rooting (§3.2): at h = k only color-0 roots are produced;
   * - biased coloring (§3.4) arrives through the colors DataFrame;
   * - greedy flushing / mmap I/O become persist(MEMORY_AND_DISK) per level —
-  *   Spark's native spill plays the role of the paper's disk tables.
+  *   Spark's native spill plays the role of the paper's disk tables. A
+  *   session from `repro.jobs.JobUtil.session` lets AQE coalesce each cached
+  *   level's final shuffle, so a level keeps as many partitions as its data
+  *   fills, not `spark.sql.shuffle.partitions`.
   */
 object BuildUp {
 
@@ -59,8 +62,17 @@ object BuildUp {
         .map(r => r.getInt(0) -> BigInt(r.getDecimal(1).toBigInteger))
         .toMap
 
+    /** Every level stacked as (h, v, tc, cnt), so one query reads them all. */
+    private def tagged: DataFrame =
+      (1 to k).map(h => level(h).select(lit(h) as "h", col("v"), col("tc"), col("cnt")))
+        .reduce(_ unionAll _)
+
     /** Number of (vertex, colored-treelet) pairs per level — table size. */
-    def pairCounts: Seq[Long] = levels.map(_.count())
+    def pairCounts: Seq[Long] = {
+      val byLevel = tagged.groupBy("h").count().collect()
+        .map(r => r.getInt(0) -> r.getLong(1)).toMap
+      (1 to k).map(byLevel.getOrElse(_, 0L))
+    }
 
     /** Collect into the in-memory engine's representation (small graphs
       * only) — bridges the Spark DP to the local samplers and to exact
@@ -68,13 +80,10 @@ object BuildUp {
       */
     def toLocalResult(g: LocalGraph, colors: Array[Int]): LocalEngine.Result = {
       val tables = new Array[LocalEngine.Level](k + 1)
-      for (h <- 1 to k) {
-        val lvl: LocalEngine.Level = Array.fill(g.n)(mutable.HashMap.empty[Long, BigInt])
-        for (row <- level(h).collect()) {
-          val v = row.getLong(0); val tc = row.getLong(1)
-          lvl(v.toInt)(tc) = BigInt(row.getDecimal(2).toBigInteger)
-        }
-        tables(h) = lvl
+      for (h <- 1 to k) tables(h) = Array.fill(g.n)(mutable.HashMap.empty[Long, BigInt])
+      for (row <- tagged.collect()) {
+        val v = row.getLong(1); val tc = row.getLong(2)
+        tables(row.getInt(0))(v.toInt)(tc) = BigInt(row.getDecimal(3).toBigInteger)
       }
       LocalEngine.Result(g, colors, k, zeroRoot, tables)
     }
@@ -129,8 +138,8 @@ object BuildUp {
         .persist(storage)
       levels += lvl
     }
-    // Materialize each level once so timings are honest and lineage is warm.
-    levels.foreach(_.count())
+    // Materialize every cache with one action: level k reads levels 1..k−1.
+    levels.last.count()
     Result(spark, k, zeroRoot, levels.toIndexedSeq)
   }
 

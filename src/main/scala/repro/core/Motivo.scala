@@ -90,15 +90,17 @@ object Motivo {
                    doNaive: Boolean = true, doAGS: Boolean = true): Run = {
     val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
     val build = BuildUp.runLocalGraph(spark, g, coloring)
-    val sampler = new DistSampler(spark, build,
-      Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed)
     try {
-      val naive =
-        if (doNaive) Some(AGS.naive(sampler, budget, batch = math.min(budget, 2048L).toInt))
-        else None
-      val ags = if (doAGS) Some(AGS.run(sampler, budget, cbar = cbar,
-        batch = math.min(budget, 1024L).toInt)) else None
-      Run(k, coloring, build.totalTreelets, naive, budget, ags)
-    } finally { sampler.close(); build.unpersist() }
+      val sampler = new DistSampler(spark, build,
+        Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed)
+      try {
+        val naive =
+          if (doNaive) Some(AGS.naive(sampler, budget, batch = math.min(budget, 2048L).toInt))
+          else None
+        val ags = if (doAGS) Some(AGS.run(sampler, budget, cbar = cbar,
+          batch = math.min(budget, 1024L).toInt)) else None
+        Run(k, coloring, build.totalTreelets, naive, budget, ags)
+      } finally sampler.close()
+    } finally build.unpersist()
   }
 }

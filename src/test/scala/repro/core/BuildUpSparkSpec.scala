@@ -195,4 +195,30 @@ class BuildUpSparkSpec extends SparkSpec {
       assert(pcs.forall(_ > 0))
     } finally build.unpersist()
   }
+
+  test("cached levels are sized to their data, not to spark.sql.shuffle.partitions") {
+    val g = Generators.er(40, 110, seed = 83)
+    val k = 4
+    val build = BuildUp.runLocalGraph(spark, g, Coloring.uniform(k, seed = 13))
+    try {
+      val shufflePartitions = spark.conf.get("spark.sql.shuffle.partitions").toInt
+      for (h <- 1 to k) {
+        val parts = build.level(h).rdd.getNumPartitions
+        assert(parts < shufflePartitions, s"h=$h: $parts partitions")
+      }
+    } finally build.unpersist()
+  }
+
+  test("runSparkBuild and runSparkFull release every cached table, also on failure") {
+    val g = Generators.er(30, 80, seed = 84)
+    def cached: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    val before = cached
+    Motivo.runSparkBuild(spark, g, k = 3, budget = 200, cbar = 20)
+    assert(cached -- before == Set.empty, "runSparkBuild left cached tables")
+    Motivo.runSparkFull(spark, g, k = 3, budget = 64, cbar = 10)
+    assert(cached -- before == Set.empty, "runSparkFull left cached tables")
+    val edgeless = Generators.er(20, 0, seed = 85) // an empty urn: sampling throws
+    intercept[IllegalArgumentException](Motivo.runSparkFull(spark, edgeless, k = 3, budget = 64))
+    assert(cached -- before == Set.empty, "a failed runSparkFull left cached tables")
+  }
 }
