@@ -41,58 +41,65 @@ object LocalEngine {
       tables(h)(v).getOrElse(ct, BigInt(0))
   }
 
-  /** Run the DP. `colors(v)` must be in [0, k). */
+  /** Run the DP. `colors(v)` must be in [0, k).
+    *
+    * Each level is a parallel loop over vertices ([[Par.forEach]]):
+    * c(T_C, v) at level h reads only levels < h, and vertex v's map is
+    * written by one task, so the tables do not depend on the thread count.
+    */
   def buildUp(g: LocalGraph, colors: Array[Int], k: Int, zeroRoot: Boolean = true): Result = {
     require(colors.length == g.n)
     val tables = new Array[Level](k + 1)
-    tables(1) = Array.fill(g.n)(mutable.HashMap.empty[Long, BigInt])
-    for (v <- 0 until g.n)
-      tables(1)(v)(ColoredTreelet.singleton(colors(v))) = BigInt(1)
+    tables(1) = Array.tabulate(g.n)(v => mutable.HashMap(ColoredTreelet.singleton(colors(v)) -> BigInt(1)))
 
     for (h <- 2 to k) {
-      val lvl: Level = Array.fill(g.n)(mutable.HashMap.empty[Long, BigInt])
+      val lvl: Level = new Array(g.n)
       val restrictRoots = zeroRoot && h == k
-      var v = 0
-      while (v < g.n) {
-        if (!restrictRoots || colors(v) == 0) {
-          val out = lvl(v)
-          var h2 = 1
-          while (h2 < h) {
-            val h1 = h - h2
-            val left = tables(h1)(v)
-            if (left.nonEmpty) {
-              var ni = 0
-              val deg = g.degree(v)
-              while (ni < deg) {
-                val u = g.neighborAt(v, ni)
-                val right = tables(h2)(u)
-                if (right.nonEmpty) {
-                  for ((ct1, c1) <- left; (ct2, c2) <- right) {
-                    val m = ColoredTreelet.tryMerge(ct1, ct2)
-                    if (m != -1L) out(m) = out.getOrElse(m, BigInt(0)) + c1 * c2
-                  }
-                }
-                ni += 1
-              }
-            }
-            h2 += 1
-          }
-          // β_T division of Eq. (1) — exact; non-divisibility is a bug.
-          for (ct <- out.keys.toArray) {
-            val b = Treelet.beta(ColoredTreelet.shape(ct))
-            if (b > 1) {
-              val c = out(ct)
-              val (q, r) = c /% BigInt(b)
-              require(r == 0, s"β-division remainder: c=$c β=$b ct=${ColoredTreelet.toPrettyString(ct)}")
-              out(ct) = q
-            }
-          }
-        }
-        v += 1
+      Par.forEach(g.n) { v =>
+        lvl(v) =
+          if (restrictRoots && colors(v) != 0) mutable.HashMap.empty
+          else vertexCounts(g, tables, h, v)
       }
       tables(h) = lvl
     }
     Result(g, colors, k, zeroRoot, tables)
+  }
+
+  /** c(T_C, v) for every colored treelet T_C of size h (Eq. 1). */
+  private def vertexCounts(g: LocalGraph, tables: Array[Level], h: Int, v: Int): mutable.HashMap[Long, BigInt] = {
+    val out = mutable.HashMap.empty[Long, BigInt]
+    var h2 = 1
+    while (h2 < h) {
+      val h1 = h - h2
+      val left = tables(h1)(v)
+      if (left.nonEmpty) {
+        var ni = 0
+        val deg = g.degree(v)
+        while (ni < deg) {
+          val u = g.neighborAt(v, ni)
+          val right = tables(h2)(u)
+          if (right.nonEmpty) {
+            for ((ct1, c1) <- left; (ct2, c2) <- right) {
+              val m = ColoredTreelet.tryMerge(ct1, ct2)
+              if (m != -1L) out(m) = out.getOrElse(m, BigInt(0)) + c1 * c2
+            }
+          }
+          ni += 1
+        }
+      }
+      h2 += 1
+    }
+    // β_T division of Eq. (1) — exact; non-divisibility is a bug.
+    for (ct <- out.keys.toArray) {
+      val b = Treelet.beta(ColoredTreelet.shape(ct))
+      if (b > 1) {
+        val c = out(ct)
+        val (q, r) = c /% BigInt(b)
+        require(r == 0, s"β-division remainder: c=$c β=$b ct=${ColoredTreelet.toPrettyString(ct)}")
+        out(ct) = q
+      }
+    }
+    out
   }
 
   /** Exact number of colorful *graphlet* copies per canonical code, by

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
 import repro.graph.LocalGraph
 import repro.graphlet.Graphlet
 import repro.treelet.{ColoredTreelet, TreeletEnum}
@@ -13,8 +14,14 @@ import scala.util.Random
   * so `occ(v)` is O(1) (last cumulative entry), `occ(T_C, v)` and
   * `sample(v)` are O(k) binary searches, and iteration is cache-friendly.
   * Root sampling uses the alias method; large-degree neighbor sweeps are
-  * amortized with neighbor buffering (§3.2: one sweep yields `bufferDraws`
-  * draws, 99% of sweeps skipped for hubs).
+  * amortized per hub (§3.2 neighbor buffering): one sweep builds the hub's
+  * sparse neighbor distribution for a treelet, and every later draw is a
+  * binary search in it.
+  *
+  * The table is read-only after construction except for memo caches whose
+  * values do not depend on which thread fills them, so concurrent
+  * `sampleTreeletCopy`/`sampleGraphlet` calls are safe, and each one's
+  * output depends only on its own `Random`.
   */
 final class MotivoLocalTable(
     val g: LocalGraph,
@@ -25,8 +32,7 @@ final class MotivoLocalTable(
     val exactTotals: Array[BigInt],     // exact occ_k per vertex (0-rooted)
     // the paper buffers at degree ≥ 10^4 on 10^6..10^9-edge graphs; our
     // graphs are ~1000× smaller, so the threshold scales down too
-    val bufferThreshold: Int = 250,
-    val bufferDraws: Int = 100) {
+    val bufferThreshold: Int = 250) {
 
   /** Total colorful k-treelet copies t (exact). */
   val totalTreelets: BigInt = exactTotals.foldLeft(BigInt(0))(_ + _)
@@ -73,7 +79,7 @@ final class MotivoLocalTable(
   })
 
   // Lazily-built per-shape samplers (AGS rebuilds the alias per shape, §3.3).
-  private val shapeSamplers = mutable.HashMap.empty[Int, ShapeSampler]
+  private val shapeSamplers = new ConcurrentHashMap[Integer, ShapeSampler]
 
   private final class ShapeSampler(shape: Int) {
     // level-k records filtered to codes of this free shape
@@ -100,71 +106,73 @@ final class MotivoLocalTable(
     val alias: Option[Alias] = if (grand > 0) Some(Alias(totals)) else None
   }
 
-  // Neighbor-sum and neighbor-buffer caches (§3.2 neighbor buffering).
-  private val sumCache = mutable.HashMap.empty[Long, Double]
-  private val bufCache = mutable.HashMap.empty[Long, mutable.ArrayDeque[Int]]
+  // Memo caches of Σ_{u~v} c(ct, u) and of the hub distributions.
+  private val sumCache = new ConcurrentHashMap[java.lang.Long, java.lang.Double]
+  private val hubCache = new ConcurrentHashMap[java.lang.Long, HubDist]
   private def cacheKey(v: Int, ct: Long): Long = v.toLong * 0x9E3779B97F4A7C15L ^ ct
 
-  /** Σ_{u~v} c(ct, u) with memoization (part of the buffered sweep). */
+  /** Σ_{u~v} c(ct, u) with memoization. */
   private def neighborSum(h: Int, v: Int, ct: Long): Double = {
     val key = cacheKey(v, ct) ^ (h.toLong << 56)
-    sumCache.getOrElseUpdate(key, {
+    val hit = sumCache.get(key)
+    if (hit != null) hit
+    else {
       var s = 0.0
       val d = g.degree(v)
       var i = 0
-      while (i < d) { s += occCt(h, v = g.neighborAt(v, i), ct = ct); i += 1 }
+      while (i < d) { s += occCt(h, g.neighborAt(v, i), ct); i += 1 }
+      sumCache.putIfAbsent(key, s)
       s
-    })
+    }
   }
 
-  /** Draw u ~ v with probability ∝ c(ct, u). For hub vertices the sweep is
-    * amortized: one pass fills a buffer of `bufferDraws` draws.
+  /** The neighbors u of a hub with c(ct, u) > 0 and their cumulative
+    * weights. Skipping zero-weight neighbors keeps it smaller than the
+    * hub's degree on skewed graphs.
     */
-  private def drawNeighbor(h: Int, v: Int, ct: Long, rnd: Random): Int = {
-    val d = g.degree(v)
-    if (d >= bufferThreshold) {
-      val key = cacheKey(v, ct) ^ (h.toLong << 52)
-      val buf = bufCache.getOrElseUpdate(key, mutable.ArrayDeque.empty[Int])
-      if (buf.isEmpty) refillBuffer(h, v, ct, rnd, buf)
-      buf.removeHead()
-    } else {
-      sweepDraw(h, v, ct, rnd)
-    }
-  }
+  private final class HubDist(val nbrs: Array[Int], val cum: Array[Double])
 
-  private def refillBuffer(h: Int, v: Int, ct: Long, rnd: Random,
-                           buf: mutable.ArrayDeque[Int]): Unit = {
-    val d = g.degree(v)
-    val cum = new Array[Double](d)
-    var s = 0.0
-    var i = 0
-    while (i < d) { s += occCt(h, g.neighborAt(v, i), ct); cum(i) = s; i += 1 }
-    require(s > 0, s"no neighbor of $v holds treelet ${ColoredTreelet.toPrettyString(ct)}")
-    var t = 0
-    while (t < bufferDraws) {
-      val x = rnd.nextDouble() * s
-      var lo = 0; var hi = d - 1
-      while (lo < hi) { val mid = (lo + hi) >>> 1; if (cum(mid) < x) lo = mid + 1 else hi = mid }
-      buf.append(g.neighborAt(v, lo))
-      t += 1
-    }
-  }
+  private def hubDist(h: Int, v: Int, ct: Long): HubDist =
+    hubCache.computeIfAbsent(cacheKey(v, ct) ^ (h.toLong << 52), _ => {
+      val d = g.degree(v)
+      val nb = mutable.ArrayBuilder.make[Int]
+      val cb = mutable.ArrayBuilder.make[Double]
+      var s = 0.0
+      var i = 0
+      while (i < d) {
+        val u = g.neighborAt(v, i)
+        val w = occCt(h, u, ct)
+        if (w > 0) { s += w; nb += u; cb += s }
+        i += 1
+      }
+      require(s > 0, s"no neighbor of $v holds treelet ${ColoredTreelet.toPrettyString(ct)}")
+      new HubDist(nb.result(), cb.result())
+    })
+
+  /** Draw u ~ v with probability ∝ c(ct, u): a binary search in the cached
+    * sparse distribution for hubs (degree ≥ `bufferThreshold`), one sweep
+    * otherwise.
+    */
+  private def drawNeighbor(h: Int, v: Int, ct: Long, rnd: Random): Int =
+    if (g.degree(v) >= bufferThreshold) {
+      val hd = hubDist(h, v, ct)
+      hd.nbrs(firstAbove(hd.cum, rnd.nextDouble() * hd.cum(hd.cum.length - 1)))
+    } else sweepDraw(h, v, ct, rnd)
 
   private def sweepDraw(h: Int, v: Int, ct: Long, rnd: Random): Int = {
-    val d = g.degree(v)
-    var s = 0.0
-    var i = 0
-    while (i < d) { s += occCt(h, g.neighborAt(v, i), ct); i += 1 }
+    val s = neighborSum(h, v, ct)
     require(s > 0, s"no neighbor of $v holds treelet ${ColoredTreelet.toPrettyString(ct)}")
     val x = rnd.nextDouble() * s
+    val d = g.degree(v)
     var acc = 0.0
-    i = 0
+    var i = 0
     while (i < d) {
       acc += occCt(h, g.neighborAt(v, i), ct)
-      if (acc >= x) return g.neighborAt(v, i)
+      if (acc > x) return g.neighborAt(v, i)
       i += 1
     }
-    g.neighborAt(v, d - 1)
+    // x < s and the running sum ends at s, so this is not reached
+    throw new IllegalStateException(s"neighbor sweep of $v overran its sum")
   }
 
   /** Draw one colorful k-treelet copy u.a.r.; returns its k vertices.
@@ -177,7 +185,7 @@ final class MotivoLocalTable(
         val v = rootAlias.draw(rnd)
         (v, drawFromRecord(keys(k)(v), cums(k)(v), rnd))
       case Some(sh) =>
-        val ss = shapeSamplers.getOrElseUpdate(sh, new ShapeSampler(sh))
+        val ss = shapeSamplers.computeIfAbsent(sh, _ => new ShapeSampler(sh))
         val al = ss.alias.getOrElse(
           throw new IllegalArgumentException(s"shape has no colorful copies: $sh"))
         val v = al.draw(rnd)
@@ -194,12 +202,16 @@ final class MotivoLocalTable(
     Graphlet.canonical(LocalGraph.inducedAdj(g, verts))
   }
 
-  private def drawFromRecord(ks: Array[Long], cs: Array[Double], rnd: Random): Long = {
-    val tot = cs(cs.length - 1)
-    val x = rnd.nextDouble() * tot
-    var lo = 0; var hi = cs.length - 1
-    while (lo < hi) { val mid = (lo + hi) >>> 1; if (cs(mid) < x) lo = mid + 1 else hi = mid }
-    ks(lo)
+  private def drawFromRecord(ks: Array[Long], cs: Array[Double], rnd: Random): Long =
+    ks(firstAbove(cs, rnd.nextDouble() * cs(cs.length - 1)))
+
+  /** The first index i with cum(i) > x, for 0 ≤ x < cum(last): a draw of
+    * x = 0.0 then skips leading zero-weight entries.
+    */
+  private def firstAbove(cum: Array[Double], x: Double): Int = {
+    var lo = 0; var hi = cum.length - 1
+    while (lo < hi) { val mid = (lo + hi) >>> 1; if (cum(mid) <= x) lo = mid + 1 else hi = mid }
+    lo
   }
 
   /** Recursive expansion (§2.2): pick a color split C' ⊎ C'' and a neighbor
@@ -215,20 +227,22 @@ final class MotivoLocalTable(
       return
     }
     val h = ColoredTreelet.size(ct)
-    val splits = ColoredTreelet.colorSplits(ct)
-    val h2 = ColoredTreelet.size(splits.head._2)
+    val splits = ColoredTreelet.splitPairs(ct)
+    val h2 = ColoredTreelet.size(splits(1))
     val h1 = h - h2
-    // weight per split: c(ct1, v) · Σ_{u~v} c(ct2, u)
-    val ws = splits.map { case (ct1, ct2) =>
-      val w1 = occCt(h1, v, ct1)
-      if (w1 == 0.0) 0.0 else w1 * neighborSum(h2, v, ct2)
-    }.toArray
-    val tot = ws.sum
-    require(tot > 0, s"inconsistent table: no valid split for ${ColoredTreelet.toPrettyString(ct)} at $v")
-    var x = rnd.nextDouble() * tot
+    // cumulative weight over splits of c(ct1, v) · Σ_{u~v} c(ct2, u)
+    val cum = new Array[Double](splits.length / 2)
+    var tot = 0.0
     var si = 0
-    while (si < ws.length - 1 && x > ws(si)) { x -= ws(si); si += 1 }
-    val (ct1, ct2) = splits(si)
+    while (si < cum.length) {
+      val w1 = occCt(h1, v, splits(2 * si))
+      if (w1 != 0.0) tot += w1 * neighborSum(h2, v, splits(2 * si + 1))
+      cum(si) = tot
+      si += 1
+    }
+    require(tot > 0, s"inconsistent table: no valid split for ${ColoredTreelet.toPrettyString(ct)} at $v")
+    si = firstAbove(cum, rnd.nextDouble() * tot)
+    val ct1 = splits(2 * si); val ct2 = splits(2 * si + 1)
     val u = drawNeighbor(h2, v, ct2, rnd)
     expand(v, ct1, verts, rnd)
     expand(u, ct2, verts, rnd)

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import repro.color.Coloring
 import repro.graph.{Graphs, LocalGraph}
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 /** End-to-end orchestration: build the urn, sample, estimate — the API the
@@ -10,19 +11,42 @@ import scala.util.Random
   *
   * Two sampling backends share the [[ShapeSampling]] interface:
   * - [[LocalShapeSampler]], the in-memory Motivo table (alias + binary
-  *   search + neighbor buffering) fed by either the Spark or the local DP —
-  *   used where the paper measures single-machine sampling rates;
+  *   search + neighbor buffering) fed by either the Spark or the local DP,
+  *   sampling on every core — used where the paper measures single-machine
+  *   sampling rates;
   * - [[DistSampler]], the DataFrame sampler — the distributed path.
   */
 object Motivo {
 
-  /** Adapter: local Motivo table → AGS sampling interface. */
+  /** Samples per parallel sampling task: enough to outweigh a task's
+    * scheduling cost, few enough that a 256-sample AGS batch still spreads
+    * over four cores. A constant, not a setting: it decides which `Random`
+    * draws each sample, so the output for a seed depends on it.
+    */
+  private val Chunk = 64
+
+  /** Adapter: local Motivo table → AGS sampling interface.
+    *
+    * A batch is filled in parallel ([[Par.forEach]]), in chunks of `Chunk`
+    * samples. Each chunk draws from its own `Random`, seeded from this
+    * sampler's stream on the calling thread, so the batch depends on the
+    * seed and not on the thread count.
+    */
   final class LocalShapeSampler(val table: MotivoLocalTable, seed: Long) extends ShapeSampling {
     private val rnd = new Random(seed)
     val k: Int = table.k
     def totalsByShape: Map[Int, Double] = table.totalsByShape
-    def sampleBatch(shape: Option[Int], b: Int): Seq[Long] =
-      Seq.fill(b)(table.sampleGraphlet(rnd, shape))
+    def sampleBatch(shape: Option[Int], b: Int): Seq[Long] = {
+      val out = new Array[Long](b)
+      val seeds = Array.fill((b + Chunk - 1) / Chunk)(rnd.nextLong())
+      Par.forEach(seeds.length) { c =>
+        val r = new Random(seeds(c))
+        var i = c * Chunk
+        val end = math.min(b, i + Chunk)
+        while (i < end) { out(i) = table.sampleGraphlet(r, shape); i += 1 }
+      }
+      ArraySeq.unsafeWrapArray(out)
+    }
   }
 
   final case class Run(

@@ -1,5 +1,7 @@
 package repro.treelet
 
+import java.util.concurrent.ConcurrentHashMap
+
 /** Colored rooted treelet codec (paper §3.1, Figure 1).
   *
   * A colored treelet T_C is the concatenation of the shape code s_T and the
@@ -49,12 +51,21 @@ object ColoredTreelet {
     * root, ct2 is the first-child subtree. The count identity (Eq. 1) is
     * c(ct) = (1/β) Σ_{u~v} Σ_{splits} c(ct1, v)·c(ct2, u).
     */
-  def colorSplits(ct: Long): Seq[(Long, Long)] = {
-    val (s1, s2) = decompShapes(ct)
-    val k2 = Treelet.size(s2)
-    val cm = colorMask(ct)
-    subsetsOfSize(cm, k2).map { c2 => (pack(s1, cm & ~c2), pack(s2, c2)) }
-  }
+  def colorSplits(ct: Long): Seq[(Long, Long)] =
+    splitPairs(ct).grouped(2).map(p => (p(0), p(1))).toSeq
+
+  private val splitMemo = new ConcurrentHashMap[java.lang.Long, Array[Long]]
+
+  /** [[colorSplits]] flattened to (ct1, ct2, ct1, ct2, …) and memoized per
+    * code: the sampler asks for it at every internal node of every sample.
+    * Callers must not mutate the returned array.
+    */
+  def splitPairs(ct: Long): Array[Long] =
+    splitMemo.computeIfAbsent(ct, _ => {
+      val (s1, s2) = decompShapes(ct)
+      val cm = colorMask(ct)
+      subsetsOfSize(cm, Treelet.size(s2)).flatMap(c2 => Seq(pack(s1, cm & ~c2), pack(s2, c2))).toArray
+    })
 
   /** All sub-masks of `mask` with exactly `want` bits set. */
   def subsetsOfSize(mask: Int, want: Int): Seq[Int] = {

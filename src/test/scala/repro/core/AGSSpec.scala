@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.ForkJoinPool
 import repro.SparkSpec
 import repro.color.Coloring
 import repro.graph.{Generators, LocalGraph}
@@ -162,6 +163,26 @@ class AGSSpec extends SparkSpec {
     }
     assert(Estimators.l1Error(naive, truth) < 0.35)
     assert(Estimators.l1Error(ags, truth) < 0.35)
+  }
+
+  test("local build-up and sampling do not depend on the thread count") {
+    // hubs of degree 300 ≥ the default bufferThreshold take the hub path
+    val g = Generators.starskew(800, hubs = 2, hubDeg = 300, bgEdges = 400, seed = 109)
+    val k = 5
+    def inPool[T](threads: Int)(body: => T): T = {
+      val pool = new ForkJoinPool(threads)
+      try pool.submit(() => body).get() finally pool.shutdown()
+    }
+    val colors = colorsFor(g, k, 18)
+    def build() = LocalEngine.buildUp(g, colors, k)
+    val (b1, b4) = (inPool(1)(build()), inPool(4)(build()))
+    for (h <- 1 to k; v <- 0 until g.n)
+      assert(b1.tables(h)(v) == b4.tables(h)(v), s"h=$h v=$v")
+    def run() = Motivo.runLocal(g, k, budget = 20000, seed = 19, cbar = 200)
+    val (r1, r4) = (inPool(1)(run()), inPool(4)(run()))
+    assert(r1.totalTreelets == r4.totalTreelets)
+    assert(r1.naiveHits == r4.naiveHits)
+    assert(r1.ags.map(_.hits) == r4.ags.map(_.hits))
   }
 
   test("end-to-end Spark-build run matches the pure local run's urn") {

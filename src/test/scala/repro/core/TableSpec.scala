@@ -160,21 +160,47 @@ class TableSpec extends SparkSpec {
 
   test("neighbor buffering preserves the sampling distribution") {
     val g = Generators.starskew(400, hubs = 1, hubDeg = 150, bgEdges = 150, seed = 59)
-    val k = 3
-    val colors = colorsFor(g, k, 10)
+    // k=3 unrestricted: P[H_i] = c_i σ_i / t; k=4 per shape, sample(T_j):
+    // P[H_i | T_j] = c_i σ_ij / r_j
+    for (k <- 3 to 4) {
+      val colors = colorsFor(g, k, 10)
+      val r = LocalEngine.buildUp(g, colors, k)
+      val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+      // low threshold forces buffering on the hub
+      val t = MotivoLocalTable.fromResult(r, bufferThreshold = 10)
+      val cases: Seq[(Option[Int], Double)] =
+        if (k == 3) Seq(None -> r.totalTreelets.toDouble)
+        else t.totalsByShape.toSeq.collect { case (j, rj) if rj > 0 => Some(j) -> rj }
+      val rnd = new Random(11)
+      val n = 20000
+      for ((shape, mass) <- cases) {
+        val hits = Estimators.tally(Iterator.fill(n)(t.sampleGraphlet(rnd, shape)))
+        for ((code, c) <- exact) {
+          val sigma = shape.fold(SpanningTrees.sigma(code, k).toDouble)(j =>
+            SpanningTrees.sigmaByShape(code, k).getOrElse(j, 0L).toDouble)
+          val expected = c.toDouble * sigma / mass
+          if (expected > 0.05) {
+            val got = hits.getOrElse(code, 0L).toDouble / n
+            assert(math.abs(got - expected) < 0.02, s"k=$k shape=$shape code=$code got=$got expected=$expected")
+          }
+        }
+      }
+    }
+  }
+
+  test("a uniform draw of exactly 0.0 never picks a zero-weight choice") {
+    val g = Generators.starskew(300, hubs = 1, hubDeg = 120, bgEdges = 200, seed = 62)
+    val k = 4
+    val colors = colorsFor(g, k, 16)
     val r = LocalEngine.buildUp(g, colors, k)
-    val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
-    val tt = r.totalTreelets.toDouble
-    // low threshold forces buffering on the hub
-    val t = MotivoLocalTable.fromResult(r, bufferThreshold = 10)
-    val rnd = new Random(11)
-    val n = 20000
-    val hits = Estimators.tally(Iterator.fill(n)(t.sampleGraphlet(rnd)))
-    for ((code, c) <- exact) {
-      val expected = c.toDouble * SpanningTrees.sigma(code, k).toDouble / tt
-      if (expected > 0.05) {
-        val got = hits.getOrElse(code, 0L).toDouble / n
-        assert(math.abs(got - expected) < 0.02, s"code=$code got=$got expected=$expected")
+    // the default threshold sweeps every neighbor list; 10 takes the hub path
+    for (threshold <- Seq(250, 10)) {
+      val t = MotivoLocalTable.fromResult(r, bufferThreshold = threshold)
+      for (s <- 1 to 200; shape <- None +: t.totalsByShape.keys.toSeq.map(Some(_))) {
+        val rnd = new Random(s) { override def nextDouble(): Double = 0.0 }
+        val verts = t.sampleTreeletCopy(rnd, shape)
+        for (i <- 0 until k) assert(colors(verts(i)) == i, s"threshold=$threshold seed=$s")
+        assert(repro.graphlet.Graphlet.isConnected(LocalGraph.inducedAdj(g, verts)))
       }
     }
   }
