@@ -20,8 +20,8 @@ class Table3TableSizeBench extends SparkSpec {
     rows.foreach { r =>
       assert(r.ratio > 2.0, s"${r.graph} k=${r.k}: ratio ${r.ratio}")
     }
-    // Motivo's bytes/pair should be near the fixed record cost (16B/pair
-    // plus per-vertex totals), the paper's "176 bits per pair" point.
+    // Motivo's bytes/pair is the fixed record cost (8 B code + 16 B η),
+    // the paper's "176 bits per pair" point.
     rows.foreach { r =>
       val perPair = r.motivoBytes.toDouble / r.pairs
       assert(perPair < 64, s"${r.graph}: $perPair B/pair")

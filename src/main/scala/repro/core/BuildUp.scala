@@ -35,8 +35,11 @@ object BuildUp {
 
   private val mergeUdf = udf((tc1: Long, tc2: Long) => ColoredTreelet.tryMerge(tc1, tc2))
   private val betaUdf = udf((tc: Long) => Treelet.beta(ColoredTreelet.shape(tc)))
-  private val exactDivUdf = udf((s: java.math.BigDecimal, b: Int) =>
-    s.toBigInteger.divide(java.math.BigInteger.valueOf(b.toLong)).toString)
+  private val exactDivUdf = udf((s: java.math.BigDecimal, tc: Long) => {
+    val c = U128.of(BigInt(s.toBigInteger))
+    U128.divExact(c, 0, Treelet.beta(ColoredTreelet.shape(tc)), tc)
+    U128.toBigInt(c, 0).toString
+  })
   // takes the full colored code: shape extraction must stay in JVM land
   // (shape codes use bit 31, so a SQL-side cast to INT would overflow).
   private val freeShapeUdf = udf((tc: Long) => TreeletEnum.freeShape(ColoredTreelet.shape(tc)))
@@ -74,17 +77,22 @@ object BuildUp {
       (1 to k).map(byLevel.getOrElse(_, 0L))
     }
 
-    /** Collect into the in-memory engine's representation (small graphs
-      * only) — bridges the Spark DP to the local samplers and to exact
-      * equality tests against [[LocalEngine]].
+    /** Collect into the in-memory engine's records (small graphs only) —
+      * bridges the Spark DP to the local samplers and to exact equality
+      * tests against [[LocalEngine]].
       */
     def toLocalResult(g: LocalGraph, colors: Array[Int]): LocalEngine.Result = {
-      val tables = new Array[LocalEngine.Level](k + 1)
-      for (h <- 1 to k) tables(h) = Array.fill(g.n)(mutable.HashMap.empty[Long, BigInt])
+      val builders = Array.ofDim[TreeletRecord.Builder](k + 1, g.n)
+      val c = new Array[Long](2)
       for (row <- tagged.collect()) {
-        val v = row.getLong(1); val tc = row.getLong(2)
-        tables(row.getInt(0))(v.toInt)(tc) = BigInt(row.getDecimal(3).toBigInteger)
+        val h = row.getInt(0); val v = row.getLong(1).toInt
+        if (builders(h)(v) == null) builders(h)(v) = new TreeletRecord.Builder
+        U128.set(c, 0, BigInt(row.getDecimal(3).toBigInteger))
+        builders(h)(v).add(row.getLong(2), c, 0)
       }
+      val tables = new Array[LocalEngine.Level](k + 1)
+      for (h <- 1 to k)
+        tables(h) = builders(h).map(b => if (b == null) TreeletRecord.Empty else b.result())
       LocalEngine.Result(g, colors, k, zeroRoot, tables)
     }
 
@@ -134,7 +142,7 @@ object BuildUp {
         .agg(sum(col("w")).cast(CountType) as "s")
         .select(col("v"), col("tc"),
                 when(betaUdf(col("tc")) === 1, col("s"))
-                  .otherwise(exactDivUdf(col("s"), betaUdf(col("tc"))).cast(CountType)) as "cnt")
+                  .otherwise(exactDivUdf(col("s"), col("tc")).cast(CountType)) as "cnt")
         .persist(storage)
       levels += lvl
     }

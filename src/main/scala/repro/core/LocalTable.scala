@@ -7,16 +7,16 @@ import repro.treelet.{ColoredTreelet, TreeletEnum}
 import scala.collection.mutable
 import scala.util.Random
 
-/** Motivo's compact count table and sampler (paper §3.1–§3.3), in-memory.
+/** Motivo's count table and sampler (paper §3.1–§3.3), in-memory.
   *
-  * Per vertex and per treelet size, the (code, count) pairs are stored in
-  * arrays sorted by code, with *cumulative* counts (the paper's η(T_C, v)),
-  * so `occ(v)` is O(1) (last cumulative entry), `occ(T_C, v)` and
-  * `sample(v)` are O(k) binary searches, and iteration is cache-friendly.
-  * Root sampling uses the alias method; large-degree neighbor sweeps are
-  * amortized per hub (§3.2 neighbor buffering): one sweep builds the hub's
-  * sparse neighbor distribution for a treelet, and every later draw is a
-  * binary search in it.
+  * The table is the build-up's own output: per vertex and per treelet size
+  * one [[TreeletRecord]], its codes sorted and its counts cumulative (the
+  * paper's η(T_C, v)), so `occ(v)` is O(1) (the last η), `occ(T_C, v)` and
+  * `sample(v)` are O(k) binary searches. Root sampling uses the alias
+  * method; large-degree neighbor sweeps are amortized per hub (§3.2
+  * neighbor buffering): one sweep builds the hub's sparse neighbor
+  * distribution for a treelet, and every later draw is a binary search in
+  * it. Sampling weights are the exact counts rounded to doubles.
   *
   * The table is read-only after construction except for memo caches whose
   * values do not depend on which thread fills them, so concurrent
@@ -24,59 +24,40 @@ import scala.util.Random
   * output depends only on its own `Random`.
   */
 final class MotivoLocalTable(
-    val g: LocalGraph,
-    val colors: Array[Int],
-    val k: Int,
-    keys: Array[Array[Array[Long]]],    // keys(h)(v): sorted colored codes
-    cums: Array[Array[Array[Double]]],  // cums(h)(v): cumulative counts
-    val exactTotals: Array[BigInt],     // exact occ_k per vertex (0-rooted)
+    val result: LocalEngine.Result,
     // the paper buffers at degree ≥ 10^4 on 10^6..10^9-edge graphs; our
     // graphs are ~1000× smaller, so the threshold scales down too
     val bufferThreshold: Int = 250) {
 
-  /** Total colorful k-treelet copies t (exact). */
-  val totalTreelets: BigInt = exactTotals.foldLeft(BigInt(0))(_ + _)
+  val g: LocalGraph = result.g
+  val colors: Array[Int] = result.colors
+  val k: Int = result.k
+  private val tables = result.tables
 
-  /** r_j: colorful k-treelet copies per free shape (exact would need BigInt
-    * per pair; Double is ample for sampling probabilities and AGS ratios).
+  /** Total colorful k-treelet copies t (exact). */
+  val totalTreelets: BigInt = result.totalTreelets
+
+  /** r_j: colorful k-treelet copies per free shape, rounded to doubles for
+    * sampling probabilities and AGS ratios.
     */
-  lazy val totalsByShape: Map[Int, Double] = {
-    val acc = mutable.HashMap.empty[Int, Double].withDefaultValue(0.0)
-    var v = 0
-    while (v < g.n) {
-      val ks = keys(k)(v); val cs = cums(k)(v)
-      var i = 0
-      while (i < ks.length) {
-        val w = if (i == 0) cs(0) else cs(i) - cs(i - 1)
-        acc(TreeletEnum.freeShape(ColoredTreelet.shape(ks(i)))) += w
-        i += 1
-      }
-      v += 1
-    }
-    acc.toMap
-  }
+  lazy val totalsByShape: Map[Int, Double] =
+    result.totalsByShape.map { case (j, t) => j -> t.toDouble }
 
   /** O(1): total treelet weight rooted at v at level h. */
-  def occ(h: Int, v: Int): Double = {
-    val c = cums(h)(v)
-    if (c.isEmpty) 0.0 else c(c.length - 1)
-  }
+  def occ(h: Int, v: Int): Double = tables(h)(v).totalWeight
 
   /** O(k): count of a specific colored treelet at v (binary search). */
   def occCt(h: Int, v: Int, ct: Long): Double = {
-    val ks = keys(h)(v)
-    val i = java.util.Arrays.binarySearch(ks, ct)
-    if (i < 0) 0.0
-    else {
-      val c = cums(h)(v)
-      if (i == 0) c(0) else c(i) - c(i - 1)
-    }
+    val rec = tables(h)(v)
+    val i = rec.indexOf(ct)
+    if (i < 0) 0.0 else rec.weight(i)
   }
 
-  private val rootAlias: Alias = Alias(exactTotals.map(_.toDouble).toArray match {
-    case a if a.forall(_ == 0.0) => throw new IllegalStateException("empty urn: no colorful k-treelets")
-    case a => a
-  })
+  private lazy val rootAlias: Alias = {
+    val w = tables(k).map(_.totalWeight)
+    if (w.forall(_ == 0.0)) throw new IllegalStateException("empty urn: no colorful k-treelets")
+    Alias(w)
+  }
 
   // Lazily-built per-shape samplers (AGS rebuilds the alias per shape, §3.3).
   private val shapeSamplers = new ConcurrentHashMap[Integer, ShapeSampler]
@@ -88,16 +69,15 @@ final class MotivoLocalTable(
     val totals = new Array[Double](g.n)
     var grand = 0.0
     for (v <- 0 until g.n) {
-      val ks = keys(k)(v); val cs = cums(k)(v)
+      val rec = tables(k)(v)
       val kb = mutable.ArrayBuilder.make[Long]
       val cb = mutable.ArrayBuilder.make[Double]
       var acc = 0.0
       var i = 0
-      while (i < ks.length) {
-        if (TreeletEnum.freeShape(ColoredTreelet.shape(ks(i))) == shape) {
-          val w = if (i == 0) cs(0) else cs(i) - cs(i - 1)
-          acc += w
-          kb += ks(i); cb += acc
+      while (i < rec.size) {
+        if (TreeletEnum.freeShape(ColoredTreelet.shape(rec.codes(i))) == shape) {
+          acc += rec.weight(i)
+          kb += rec.codes(i); cb += acc
         }
         i += 1
       }
@@ -183,13 +163,15 @@ final class MotivoLocalTable(
     val (v0, ct0) = shape match {
       case None =>
         val v = rootAlias.draw(rnd)
-        (v, drawFromRecord(keys(k)(v), cums(k)(v), rnd))
+        val rec = tables(k)(v)
+        (v, rec.codes(rec.indexAbove(rnd.nextDouble() * rec.totalWeight)))
       case Some(sh) =>
         val ss = shapeSamplers.computeIfAbsent(sh, _ => new ShapeSampler(sh))
         val al = ss.alias.getOrElse(
           throw new IllegalArgumentException(s"shape has no colorful copies: $sh"))
         val v = al.draw(rnd)
-        (v, drawFromRecord(ss.fKeys(v), ss.fCums(v), rnd))
+        val cum = ss.fCums(v)
+        (v, ss.fKeys(v)(firstAbove(cum, rnd.nextDouble() * cum(cum.length - 1))))
     }
     val verts = new Array[Int](k)
     expand(v0, ct0, verts, rnd)
@@ -201,9 +183,6 @@ final class MotivoLocalTable(
     val verts = sampleTreeletCopy(rnd, shape)
     Graphlet.canonical(LocalGraph.inducedAdj(g, verts))
   }
-
-  private def drawFromRecord(ks: Array[Long], cs: Array[Double], rnd: Random): Long =
-    ks(firstAbove(cs, rnd.nextDouble() * cs(cs.length - 1)))
 
   /** The first index i with cum(i) > x, for 0 ≤ x < cum(last): a draw of
     * x = 0.0 then skips leading zero-weight entries.
@@ -248,42 +227,21 @@ final class MotivoLocalTable(
     expand(u, ct2, verts, rnd)
   }
 
-  /** Total byte footprint of the compact table (keys + cumulative counts),
-    * the Table-3 metric. The paper packs 176 bits/pair; we hold 128
-    * bits/pair (8B code + 8B cumulative) plus the exact per-vertex totals.
+  /** Total byte footprint of the table's records, the Table-3 metric: 8 B
+    * code + 16 B η per pair (the paper packs 176 bits per pair).
     */
-  def byteSize: Long = {
-    var b = 0L
-    for (h <- 1 to k; v <- 0 until g.n) b += keys(h)(v).length.toLong * 16
-    b + g.n.toLong * 16 // exact totals
-  }
+  def byteSize: Long = pairCount * 24
 
   def pairCount: Long = {
     var c = 0L
-    for (h <- 1 to k; v <- 0 until g.n) c += keys(h)(v).length
+    for (h <- 1 to k; v <- 0 until g.n) c += tables(h)(v).size
     c
   }
 }
 
 object MotivoLocalTable {
 
-  /** Compact the hash-map DP result into sorted (code, cumulative) arrays —
-    * the in-memory analogue of greedy flushing + the final sort pass.
-    */
-  def fromResult(r: LocalEngine.Result, bufferThreshold: Int = 250): MotivoLocalTable = {
-    val k = r.k
-    val n = r.g.n
-    val keys = Array.ofDim[Array[Long]](k + 1, n)
-    val cums = Array.ofDim[Array[Double]](k + 1, n)
-    val exactTotals = new Array[BigInt](n)
-    for (h <- 1 to k; v <- 0 until n) {
-      val entries = r.tables(h)(v).toArray.sortBy(_._1)
-      keys(h)(v) = entries.map(_._1)
-      var acc = 0.0
-      cums(h)(v) = entries.map { e => acc += e._2.toDouble; acc }
-    }
-    for (v <- 0 until n)
-      exactTotals(v) = r.tables(k)(v).values.foldLeft(BigInt(0))(_ + _)
-    new MotivoLocalTable(r.g, r.colors, k, keys, cums, exactTotals, bufferThreshold)
-  }
+  /** The sampler over a build-up result's records, which it reads as they are. */
+  def fromResult(r: LocalEngine.Result, bufferThreshold: Int = 250): MotivoLocalTable =
+    new MotivoLocalTable(r, bufferThreshold)
 }

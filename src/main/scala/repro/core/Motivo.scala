@@ -75,6 +75,7 @@ object Motivo {
                     lambda: Option[Double] = None,
                     cbar: Int = 1000,
                     doNaive: Boolean = true, doAGS: Boolean = true): Run = {
+    checkSampling(budget, cbar)
     val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
     val build = BuildUp.runLocalGraph(spark, g, coloring)
     try {
@@ -88,16 +89,27 @@ object Motivo {
   def runLocal(g: LocalGraph, k: Int, budget: Long, seed: Long = 7,
                lambda: Option[Double] = None, cbar: Int = 1000,
                doNaive: Boolean = true, doAGS: Boolean = true): Run = {
+    checkSampling(budget, cbar)
     val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
     val colors = Array.tabulate(g.n)(v => coloring.colorOf(v.toLong))
     val local = LocalEngine.buildUp(g, colors, k)
     runFromLocalResult(local, coloring, budget, seed, cbar, doNaive, doAGS)
   }
 
+  private def checkSampling(budget: Long, cbar: Int): Unit = {
+    require(budget >= 0, s"budget=$budget must be ≥ 0")
+    require(cbar >= 1, s"cbar=$cbar must be ≥ 1")
+  }
+
+  /** Samples the local table; an empty urn (no colorful k-treelet) has the
+    * answer zero for every graphlet, and draws no sample.
+    */
   private def runFromLocalResult(local: LocalEngine.Result, coloring: Coloring,
                                  budget: Long, seed: Long, cbar: Int,
                                  doNaive: Boolean, doAGS: Boolean): Run = {
     val table = MotivoLocalTable.fromResult(local)
+    if (table.totalTreelets == 0)
+      return Run(local.k, coloring, BigInt(0), Option.when(doNaive)(Map.empty), 0L, None)
     val naive =
       if (doNaive) Some(AGS.naive(new LocalShapeSampler(table, seed + 1), budget))
       else None
@@ -112,6 +124,7 @@ object Motivo {
                    budget: Long, seed: Long = 7,
                    lambda: Option[Double] = None, cbar: Int = 1000,
                    doNaive: Boolean = true, doAGS: Boolean = true): Run = {
+    checkSampling(budget, cbar)
     val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
     val build = BuildUp.runLocalGraph(spark, g, coloring)
     try {

@@ -1,0 +1,165 @@
+package repro.core
+
+import repro.treelet.{ColoredTreelet, Treelet}
+
+/** One vertex's colorful treelets of one size: the record of the paper's
+  * count table (§3.2), written once by the build-up and read as it is by the
+  * sampler. `codes` holds the colored-treelet codes in ascending order;
+  * `eta` holds their cumulative counts η as 128-bit slots ([[U128]]), so
+  * `eta(2i), eta(2i + 1)` is the sum of the counts of codes 0..i.
+  *
+  * Equality is by content, so two engines' records compare directly.
+  */
+final class TreeletRecord private[core] (val codes: Array[Long], private[core] val eta: Array[Long]) {
+
+  /** The number of (code, count) pairs. */
+  def size: Int = codes.length
+
+  /** The position of `ct` in `codes`, negative when absent. */
+  def indexOf(ct: Long): Int = java.util.Arrays.binarySearch(codes, ct)
+
+  /** The count of the i-th code into slot `o` of `out`. */
+  private[core] def countInto(i: Int, out: Array[Long], o: Int): Unit =
+    if (i == 0) { out(o) = eta(0); out(o + 1) = eta(1) }
+    else U128.sub(eta, 2 * i, eta, 2 * i - 2, out, o)
+
+  /** The exact count of the i-th code. */
+  def count(i: Int): BigInt = {
+    val c = new Array[Long](2)
+    countInto(i, c, 0)
+    U128.toBigInt(c, 0)
+  }
+
+  /** The count of the i-th code as a double, for sampling weights. */
+  def weight(i: Int): Double = {
+    val c = new Array[Long](2)
+    countInto(i, c, 0)
+    U128.toDouble(c, 0)
+  }
+
+  /** η of the i-th code as a double: non-decreasing in i. */
+  private def cumulative(i: Int): Double = U128.toDouble(eta, 2 * i)
+
+  /** The sum of all counts: the number of colorful treelet copies rooted here. */
+  def total: BigInt = if (size == 0) BigInt(0) else U128.toBigInt(eta, 2 * size - 2)
+
+  def totalWeight: Double = if (size == 0) 0.0 else cumulative(size - 1)
+
+  /** The first index i with η_i > x, for 0 ≤ x < [[totalWeight]]. */
+  def indexAbove(x: Double): Int = {
+    var lo = 0; var hi = size - 1
+    while (lo < hi) { val mid = (lo + hi) >>> 1; if (cumulative(mid) <= x) lo = mid + 1 else hi = mid }
+    lo
+  }
+
+  def toMap: Map[Long, BigInt] = codes.indices.map(i => codes(i) -> count(i)).toMap
+
+  override def equals(o: Any): Boolean = o match {
+    case r: TreeletRecord => java.util.Arrays.equals(codes, r.codes) && java.util.Arrays.equals(eta, r.eta)
+    case _ => false
+  }
+
+  override def hashCode: Int = java.util.Arrays.hashCode(codes) * 31 + java.util.Arrays.hashCode(eta)
+
+  override def toString: String =
+    codes.indices.map(i => s"${ColoredTreelet.toPrettyString(codes(i))}=${count(i)}").mkString("TreeletRecord(", ", ", ")")
+}
+
+object TreeletRecord {
+
+  val Empty: TreeletRecord = new TreeletRecord(Array.emptyLongArray, Array.emptyLongArray)
+
+  /** The level-1 record of a vertex of color `color`. */
+  def singleton(color: Int): TreeletRecord =
+    new TreeletRecord(Array(ColoredTreelet.singleton(color)), Array(0L, 1L))
+
+  /** Sums of 128-bit counts per colored-treelet code: an open-addressing
+    * index over dense entry arrays, so the entries can be scanned in
+    * insertion order. One builder belongs to one thread.
+    */
+  private[core] final class Builder {
+    private[core] var codes = new Array[Long](8)
+    private[core] var counts = new Array[Long](16)
+    private[core] var size = 0
+    private var index = new Array[Int](16) // entry + 1, or 0 when free
+
+    def clear(): Unit = {
+      java.util.Arrays.fill(index, 0)
+      java.util.Arrays.fill(counts, 0, 2 * size, 0L)
+      size = 0
+    }
+
+    /** Adds the count in slot `j` of `src` to `code`'s sum. */
+    def add(code: Long, src: Array[Long], j: Int): Unit = {
+      val e = entry(code) // may grow `counts`
+      U128.add(counts, 2 * e, src, j)
+    }
+
+    /** Divides every sum by its treelet's β (Eq. 1), exactly. */
+    def divideByBeta(): Unit = {
+      var e = 0
+      while (e < size) {
+        val b = Treelet.beta(ColoredTreelet.shape(codes(e)))
+        if (b > 1) U128.divExact(counts, 2 * e, b, codes(e))
+        e += 1
+      }
+    }
+
+    /** The sums as a record: codes sorted, counts made cumulative. */
+    def result(): TreeletRecord = {
+      if (size == 0) return Empty
+      val sorted = java.util.Arrays.copyOf(codes, size)
+      java.util.Arrays.sort(sorted)
+      val eta = new Array[Long](2 * size)
+      var i = 0
+      while (i < size) {
+        val e = find(sorted(i))
+        eta(2 * i) = counts(2 * e); eta(2 * i + 1) = counts(2 * e + 1)
+        if (i > 0) U128.add(eta, 2 * i, eta, 2 * i - 2)
+        i += 1
+      }
+      new TreeletRecord(sorted, eta)
+    }
+
+    private def slotOf(code: Long): Int = {
+      val h = code * 0x9E3779B97F4A7C15L
+      (h ^ (h >>> 32)).toInt & (index.length - 1)
+    }
+
+    private def find(code: Long): Int = {
+      var s = slotOf(code)
+      while (codes(index(s) - 1) != code) s = (s + 1) & (index.length - 1)
+      index(s) - 1
+    }
+
+    /** The entry of `code`, added with a zero sum when absent. */
+    private def entry(code: Long): Int = {
+      var s = slotOf(code)
+      while (index(s) != 0) {
+        val e = index(s) - 1
+        if (codes(e) == code) return e
+        s = (s + 1) & (index.length - 1)
+      }
+      if (2 * (size + 1) > index.length) { grow(); return entry(code) }
+      if (size == codes.length) {
+        codes = java.util.Arrays.copyOf(codes, 2 * size)
+        counts = java.util.Arrays.copyOf(counts, 4 * size)
+      }
+      codes(size) = code
+      size += 1
+      index(s) = size
+      size - 1
+    }
+
+    private def grow(): Unit = {
+      index = new Array[Int](2 * index.length)
+      var e = 0
+      while (e < size) {
+        var s = slotOf(codes(e))
+        while (index(s) != 0) s = (s + 1) & (index.length - 1)
+        index(s) = e + 1
+        e += 1
+      }
+    }
+  }
+}

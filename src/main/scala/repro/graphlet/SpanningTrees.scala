@@ -1,8 +1,8 @@
 package repro.graphlet
 
 import java.util.concurrent.ConcurrentHashMap
-import repro.treelet.{ColoredTreelet, Treelet, TreeletEnum}
-import scala.collection.mutable
+import repro.core.LocalEngine
+import repro.graph.LocalGraph
 
 /** Spanning-tree machinery (paper §3.3, "Spanning trees").
   *
@@ -10,10 +10,11 @@ import scala.collection.mutable
   *   theorem, computed exactly over BigInt with Bareiss fraction-free
   *   elimination;
   * - σ_ij (spanning trees of H_i isomorphic to treelet shape T_j): exactly
-  *   as the paper does it, by running the color-coding build-up DP *on H
-  *   itself* with the identity coloring (node i ↦ color i): every subgraph
-  *   is then colorful, and the 0-rooted level-k counts grouped by free
-  *   shape are precisely the spanning-tree counts per shape.
+  *   as the paper does it, by running the color-coding build-up
+  *   ([[LocalEngine.buildUp]]) *on H itself* with the identity coloring
+  *   (node i ↦ color i): every subgraph is then colorful, and the 0-rooted
+  *   level-k counts grouped by free shape are precisely the spanning-tree
+  *   counts per shape.
   *
   * Both are cached per canonical graphlet code (the paper caches σ_ij to
   * disk; a process-wide map plays that role here).
@@ -72,7 +73,7 @@ object SpanningTrees {
   }
 
   /** σ_ij for a graphlet: free-shape code → number of spanning trees of
-    * that shape. Keys are canonical free-tree codes (see [[TreeletEnum]]).
+    * that shape. Keys are canonical free-tree codes (see [[repro.treelet.TreeletEnum]]).
     */
   def sigmaByShape(code: Long, k: Int): Map[Int, Long] = {
     val key = (k.toLong << 56) | code
@@ -83,41 +84,14 @@ object SpanningTrees {
     res
   }
 
-  /** In-memory build-up DP on the graphlet with identity coloring. Counts
-    * fit in Long: the densest case K8 has 8^6 = 262144 spanning trees.
+  /** The in-memory build-up on the graphlet with the identity coloring,
+    * grouped by free shape. Counts fit in Long: the densest case K8 has
+    * 8^6 = 262144 spanning trees.
     */
   private def computeByShape(adj: Array[Int]): Map[Int, Long] = {
     val k = adj.length
-    // counts(h)(v): colored-treelet code -> count of copies rooted at v
-    val counts = Array.fill(k + 1, k)(mutable.LongMap.empty[Long])
-    for (v <- 0 until k) counts(1)(v)(ColoredTreelet.singleton(v)) = 1L
-    for (h <- 2 to k) {
-      for (h2 <- 1 until h) {
-        val h1 = h - h2
-        val roots = if (h == k) Seq(0) else 0 until k // 0-rooting at the top
-        for (v <- roots; u <- 0 until k if ((adj(v) >> u) & 1) == 1) {
-          for ((ct1, c1) <- counts(h1)(v); (ct2, c2) <- counts(h2)(u)) {
-            val m = ColoredTreelet.tryMerge(ct1, ct2)
-            if (m != -1L) {
-              val t = counts(h)(v)
-              t(m) = t.getOrElse(m, 0L) + c1 * c2
-            }
-          }
-        }
-      }
-      // Eq. (1): each copy is generated β_T times by the pair sum.
-      for (v <- 0 until k; tbl = counts(h)(v); ct <- tbl.keys.toArray) {
-        val b = Treelet.beta(ColoredTreelet.shape(ct))
-        val c = tbl(ct)
-        require(c % b == 0, s"non-divisible β aggregate: c=$c β=$b")
-        tbl(ct) = c / b
-      }
-    }
-    val out = mutable.HashMap.empty[Int, Long]
-    for ((ct, c) <- counts(k)(0)) {
-      val free = TreeletEnum.freeShape(ColoredTreelet.shape(ct))
-      out(free) = out.getOrElse(free, 0L) + c
-    }
-    out.toMap
+    val edges = for (i <- 0 until k; j <- i + 1 until k if ((adj(i) >> j) & 1) == 1) yield (i, j)
+    LocalEngine.buildUp(LocalGraph.fromEdges(k, edges), Array.range(0, k), k)
+      .totalsByShape.map { case (shape, c) => shape -> c.toLong }
   }
 }

@@ -192,4 +192,28 @@ class AGSSpec extends SparkSpec {
     val localRun = Motivo.runLocal(g, k, budget = 2000, seed = 17, cbar = 100)
     assert(sparkRun.totalTreelets == localRun.totalTreelets)
   }
+
+  test("an empty urn answers zero on runLocal and runSparkBuild, drawing no sample") {
+    val edgeless = Generators.er(20, 0, seed = 85)
+    for (run <- Seq(Motivo.runLocal(edgeless, k = 3, budget = 64),
+                    Motivo.runSparkBuild(spark, edgeless, k = 3, budget = 64))) {
+      assert(run.totalTreelets == 0)
+      assert(run.naiveSamples == 0)
+      assert(run.naiveCounts.isEmpty && run.agsCounts.isEmpty)
+    }
+  }
+
+  test("every entry point rejects a negative budget") {
+    val g = Generators.er(20, 40, seed = 86)
+    intercept[IllegalArgumentException](Motivo.runLocal(g, k = 3, budget = -1))
+    intercept[IllegalArgumentException](Motivo.runSparkBuild(spark, g, k = 3, budget = -1))
+    intercept[IllegalArgumentException](Motivo.runSparkFull(spark, g, k = 3, budget = -1))
+  }
+
+  test("every entry point rejects cbar < 1") {
+    val g = Generators.er(20, 40, seed = 87)
+    intercept[IllegalArgumentException](Motivo.runLocal(g, k = 3, budget = 64, cbar = 0))
+    intercept[IllegalArgumentException](Motivo.runSparkBuild(spark, g, k = 3, budget = 64, cbar = 0))
+    intercept[IllegalArgumentException](Motivo.runSparkFull(spark, g, k = 3, budget = 64, cbar = 0))
+  }
 }

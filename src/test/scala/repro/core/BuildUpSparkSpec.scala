@@ -133,7 +133,7 @@ class BuildUpSparkSpec extends SparkSpec {
     try {
       import spark.implicits._
       val refRows = (0 until g.n).flatMap(v =>
-        ref.tables(3)(v).map { case (tc, c) => (v.toLong, tc, c.toLong) })
+        ref.tables(3)(v).toMap.map { case (tc, c) => (v.toLong, tc, c.toLong) })
       val refDF = spark.createDataset(refRows).toDF("v", "tc", "cnt")
       val sparkSide = build.level(3).select(col("v"), col("tc"), col("cnt").cast("long") as "cnt")
       Oracle.assertEquivalent(

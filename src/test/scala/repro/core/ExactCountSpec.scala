@@ -1,10 +1,12 @@
 package repro.core
 
-import repro.SparkSpec
-import repro.graph.{Generators, LocalGraph}
+import repro.{Oracle, SparkSpec}
+import repro.graph.{Generators, Graphs, LocalGraph}
 import repro.graphlet.Graphlet
 
-/** ESU census (ESCAPE substitute) invariants. */
+/** ESU census (ESCAPE substitute) invariants, and two checks of the graph
+  * inputs against DuckDB SQL.
+  */
 class ExactCountSpec extends SparkSpec {
 
   test("census equals brute force on random small graphs, k=3..5") {
@@ -98,5 +100,35 @@ class ExactCountSpec extends SparkSpec {
     val paths = c.getOrElse(pathCode, 0L)
     assert(paths > 0)
     assert(paths.toDouble / total < 0.05, s"paths=$paths total=$total")
+  }
+
+  test("ORACLE: triangle count on a small graph via SQL three-way join") {
+    val g = Generators.ringChords(30, 25, seed = 4)
+    val pairs = Graphs.edgePairsDF(spark, g)
+    // Spark side: the exact census entry for the triangle
+    val census = ExactCount.census(g, 3)
+    val triangleCode = (1L << 3) - 1 // all three pairs present
+    val triangles = census.getOrElse(Graphlet.canonicalOfCode(triangleCode, 3), 0L)
+    import spark.implicits._
+    val sparkSide = Seq(triangles).toDF("triangles")
+    Oracle.assertEquivalent(
+      sparkSide,
+      """SELECT COUNT(*) AS triangles
+         FROM edges e1 JOIN edges e2 ON e1.b = e2.a
+                       JOIN edges e3 ON e2.b = e3.b AND e1.a = e3.a""",
+      "edges" -> pairs)
+  }
+
+  test("ORACLE: wedge count matches Σ d(d−1)/2") {
+    val g = Generators.er(60, 180, seed = 5)
+    val edges = Graphs.edgesDF(spark, g)
+    val wedges = (0 until g.n).map(v => { val d = g.degree(v).toLong; d * (d - 1) / 2 }).sum
+    import spark.implicits._
+    val sparkSide = Seq(wedges).toDF("wedges")
+    Oracle.assertEquivalent(
+      sparkSide,
+      """SELECT COUNT(*) AS wedges
+         FROM edges e1 JOIN edges e2 ON e1.src = e2.src AND e1.dst < e2.dst""",
+      "edges" -> edges)
   }
 }

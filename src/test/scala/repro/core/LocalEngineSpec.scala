@@ -172,4 +172,37 @@ class LocalEngineSpec extends SparkSpec {
       assert(viaGraphlets == r.totalTreelets, s"k=$k")
     }
   }
+
+  test("β-division: the shared exact division rejects a remainder and divides an exact multiple") {
+    val cherry = ColoredTreelet.pack(TreeletEnum.starRooted(3), 7) // β = 2
+    assert(repro.treelet.Treelet.beta(ColoredTreelet.shape(cherry)) == 2)
+    val e = intercept[ArithmeticException](U128.divExact(U128.of(7), 0, 2, cherry))
+    assert(e.getMessage.contains("count 7") && e.getMessage.contains(ColoredTreelet.toPrettyString(cherry)))
+    val c = U128.of(BigInt(3) << 100)
+    U128.divExact(c, 0, 3, cherry)
+    assert(U128.toBigInt(c, 0) == (BigInt(1) << 100))
+  }
+
+  test("buildUp rejects k outside [2, 8]") {
+    val g = Generators.er(10, 20, seed = 41)
+    intercept[IllegalArgumentException](LocalEngine.buildUp(g, Array.fill(g.n)(0), 1))
+    intercept[IllegalArgumentException](LocalEngine.buildUp(g, Array.fill(g.n)(0), 9))
+  }
+
+  test("buildUp rejects colors outside [0, k)") {
+    val g = Generators.er(10, 20, seed = 42)
+    intercept[IllegalArgumentException](LocalEngine.buildUp(g, Array.fill(g.n)(3), 3))
+    intercept[IllegalArgumentException](LocalEngine.buildUp(g, Array.fill(g.n)(-1), 3))
+  }
+
+  test("counts past 2^63 stay exact: a star with 5,005 leaves at k=8") {
+    val leaves = 5005
+    val g = LocalGraph.fromEdges(leaves + 1, (1 to leaves).map(i => (0, i)))
+    val colors = Array.tabulate(g.n)(v => if (v == 0) 0 else 1 + v % 7)
+    val r = LocalEngine.buildUp(g, colors, 8)
+    // a colorful 8-treelet is the hub with one leaf of each color 1..7
+    val expected = (1 to 7).map(c => BigInt(colors.count(_ == c))).product
+    assert(expected > BigInt(Long.MaxValue))
+    assert(r.totalTreelets == expected)
+  }
 }

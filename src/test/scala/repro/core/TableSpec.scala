@@ -43,7 +43,7 @@ class TableSpec extends SparkSpec {
     val r = LocalEngine.buildUp(g, colors, k)
     val t = MotivoLocalTable.fromResult(r)
     for (h <- 1 to k; v <- 0 until g.n) {
-      val exact = r.tables(h)(v)
+      val exact = r.tables(h)(v).toMap
       val sum = exact.values.foldLeft(BigInt(0))(_ + _).toDouble
       assert(math.abs(t.occ(h, v) - sum) <= 1e-6 * math.max(1.0, sum))
       for ((ct, c) <- exact)
