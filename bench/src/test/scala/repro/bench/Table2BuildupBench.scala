@@ -9,12 +9,12 @@ import repro.jobs.Table2Buildup
 /** §5.1 build-up speedup (Table 2 of EXPERIMENTS.md): Spark Motivo vs the
   * Spark CC baseline, with the Figure 2/4/7 micro-impacts.
   *
-  * Regime note (recorded in EXPERIMENTS.md): at k=5 these scaled-down
-  * inputs are dominated by Spark's fixed job/shuffle overheads, which are
-  * identical for both engines, so those ratios hover near 1. The paper's
-  * effect — representation cost in the merge kernel — emerges at k=6 where
-  * check-and-merge volume dominates, mirroring the paper's observation
-  * that the gap grows with k.
+  * Regime note (recorded in EXPERIMENTS.md): the two engines no longer
+  * differ in representation alone. Motivo's build is per-vertex RDD state
+  * with the neighbor pre-sum and one Spark job per build; the CC baseline
+  * is a plan of DataFrame joins with one job per level. At these
+  * scaled-down inputs Motivo's build is mostly Spark's fixed cost of one
+  * job, so its lead grows with the CC side's merge volume, i.e. with k.
   */
 class Table2BuildupBench extends SparkSpec {
 

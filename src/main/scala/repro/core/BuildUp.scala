@@ -1,154 +1,164 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DecimalType, LongType}
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{DecimalType, IntegerType, LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 import repro.graph.LocalGraph
-import repro.treelet.{ColoredTreelet, Treelet, TreeletEnum}
 import scala.collection.mutable
 
-/** Motivo's build-up phase as distributed dataflow: the dynamic program of
-  * Eq. (1) expressed as DataFrame joins over the symmetric edge list.
+/** Motivo's build-up phase on Spark: the dynamic program of Eq. (1) as
+  * per-vertex state in an RDD partitioned by vertex.
   *
-  * Level h is a DataFrame (v: Long, tc: Long, cnt: Decimal(38,0)) holding
-  * c(T_C, v) for every colored treelet on h nodes. Level h is produced by
-  * joining every split (h1, h2), h1 + h2 = h, of levels h1 (at v) and h2
-  * (at u) across the edge (v, u), check-and-merging the succinct codes in
-  * a UDF (a few bit ops — the paper's §3.1 kernel), then aggregating with
-  * groupBy/sum and dividing by β_T (exact integer division).
+  * A vertex's state holds its color, its neighbors, its records c_h(v) for
+  * the sizes built so far ([[TreeletRecord]]s, exact 128-bit counts) and its
+  * neighbor sums N_h(v) = Σ_{u~v} c_h(u). Level h takes one shuffle: every
+  * vertex u sends c_{h−1}(u) to its neighbors, and `reduceByKey` sums the
+  * records into N_{h−1}(v). A narrow step then runs the kernel
+  * [[LocalEngine]] runs too ([[TreeletRecord.eq1]]) on v's own records and
+  * its neighbor sums.
   *
   * Fidelity notes:
-  * - counts are Decimal(38,0): the same overflow point (~1.7e38) as the
-  *   paper's 128-bit counters;
+  * - counts are unsigned 128-bit, as the paper's counters;
   * - 0-rooting (§3.2): at h = k only color-0 roots are produced;
   * - biased coloring (§3.4) arrives through the colors DataFrame;
-  * - greedy flushing / mmap I/O become persist(MEMORY_AND_DISK) per level —
-  *   Spark's native spill plays the role of the paper's disk tables. A
-  *   session from `repro.jobs.JobUtil.session` lets AQE coalesce each cached
-  *   level's final shuffle, so a level keeps as many partitions as its data
-  *   fills, not `spark.sql.shuffle.partitions`.
+  * - greedy flushing / mmap I/O become persist(MEMORY_AND_DISK) of the
+  *   state — Spark's native spill plays the role of the paper's disk tables.
   */
 object BuildUp {
 
+  /** The count column of the [[Result.level]] view. */
   val CountType: DecimalType = DecimalType(38, 0)
 
-  private val mergeUdf = udf((tc1: Long, tc2: Long) => ColoredTreelet.tryMerge(tc1, tc2))
-  private val betaUdf = udf((tc: Long) => Treelet.beta(ColoredTreelet.shape(tc)))
-  private val exactDivUdf = udf((s: java.math.BigDecimal, tc: Long) => {
-    val c = U128.of(BigInt(s.toBigInteger))
-    U128.divExact(c, 0, Treelet.beta(ColoredTreelet.shape(tc)), tc)
-    U128.toBigInt(c, 0).toString
-  })
-  // takes the full colored code: shape extraction must stay in JVM land
-  // (shape codes use bit 31, so a SQL-side cast to INT would overflow).
-  private val freeShapeUdf = udf((tc: Long) => TreeletEnum.freeShape(ColoredTreelet.shape(tc)))
+  private val LevelSchema = StructType(Seq(
+    StructField("v", LongType, nullable = false),
+    StructField("tc", LongType, nullable = false),
+    StructField("cnt", CountType, nullable = false)))
+
+  private val Storage = StorageLevel.MEMORY_AND_DISK
+
+  /** One vertex between levels: `c(h)` is c_h(v) and `n(h)` is N_h(v) for
+    * the sizes built so far; slot 0 is unused. After level k only `c` is
+    * kept.
+    */
+  private[core] final case class Vertex(color: Int, nbrs: Array[Int],
+                                        c: Array[TreeletRecord], n: Array[TreeletRecord])
 
   final case class Result(spark: SparkSession, k: Int, zeroRoot: Boolean,
-                          levels: IndexedSeq[DataFrame]) {
+                          state: RDD[(Int, Vertex)]) {
 
-    /** Level h table, 1-based: (v, tc, cnt). */
-    def level(h: Int): DataFrame = levels(h - 1)
+    /** Level h, 1-based, as a read-only table (v: Long, tc: Long,
+      * cnt: Decimal(38,0)): the view the DataFrame sampler and the SQL
+      * oracles read.
+      */
+    def level(h: Int): DataFrame = {
+      require(h >= 1 && h <= k, s"level $h out of [1, $k]")
+      val rows = state.flatMap { case (v, s) =>
+        val r = s.c(h)
+        Iterator.tabulate(r.size)(i =>
+          Row(v.toLong, r.codes(i), new java.math.BigDecimal(r.count(i).bigInteger)))
+      }
+      spark.createDataFrame(rows, LevelSchema)
+    }
 
     /** t: total number of colorful k-treelet copies (0-rooted ⇒ each once). */
     lazy val totalTreelets: BigInt = {
-      val r = level(k).agg(sum(col("cnt")).cast(CountType)).collect()(0)
-      if (r.isNullAt(0)) BigInt(0) else BigInt(r.getDecimal(0).toBigInteger)
+      val kk = k // local copy: capturing the field would serialize `this`
+      state.map(_._2.c(kk).total).fold(BigInt(0))(_ + _)
     }
 
     /** r_j of AGS: copies per free k-treelet shape. */
-    lazy val totalsByShape: Map[Int, BigInt] =
-      level(k)
-        .groupBy(freeShapeUdf(col("tc")) as "shape")
-        .agg(sum(col("cnt")).cast(CountType) as "t")
-        .collect()
-        .map(r => r.getInt(0) -> BigInt(r.getDecimal(1).toBigInteger))
-        .toMap
-
-    /** Every level stacked as (h, v, tc, cnt), so one query reads them all. */
-    private def tagged: DataFrame =
-      (1 to k).map(h => level(h).select(lit(h) as "h", col("v"), col("tc"), col("cnt")))
-        .reduce(_ unionAll _)
-
-    /** Number of (vertex, colored-treelet) pairs per level — table size. */
-    def pairCounts: Seq[Long] = {
-      val byLevel = tagged.groupBy("h").count().collect()
-        .map(r => r.getInt(0) -> r.getLong(1)).toMap
-      (1 to k).map(byLevel.getOrElse(_, 0L))
+    lazy val totalsByShape: Map[Int, BigInt] = {
+      val kk = k
+      state.mapPartitions(it => Iterator(TreeletRecord.totalsByShape(it.map(_._2.c(kk)))))
+        .fold(Map.empty[Int, BigInt])((a, b) =>
+          b.foldLeft(a) { case (m, (j, t)) => m.updated(j, m.getOrElse(j, BigInt(0)) + t) })
     }
 
-    /** Collect into the in-memory engine's records (small graphs only) —
+    /** Number of (vertex, colored-treelet) pairs per level — table size. */
+    lazy val pairCounts: Seq[Long] = {
+      val kk = k
+      state.map(_._2.c.map(_.size.toLong)).fold(new Array[Long](kk + 1))((a, b) =>
+        Array.tabulate(kk + 1)(h => a(h) + b(h))).toSeq.tail
+    }
+
+    /** The records as the in-memory engine's result (small graphs only) —
       * bridges the Spark DP to the local samplers and to exact equality
       * tests against [[LocalEngine]].
       */
     def toLocalResult(g: LocalGraph, colors: Array[Int]): LocalEngine.Result = {
-      val builders = Array.ofDim[TreeletRecord.Builder](k + 1, g.n)
-      val c = new Array[Long](2)
-      for (row <- tagged.collect()) {
-        val h = row.getInt(0); val v = row.getLong(1).toInt
-        if (builders(h)(v) == null) builders(h)(v) = new TreeletRecord.Builder
-        U128.set(c, 0, BigInt(row.getDecimal(3).toBigInteger))
-        builders(h)(v).add(row.getLong(2), c, 0)
-      }
       val tables = new Array[LocalEngine.Level](k + 1)
-      for (h <- 1 to k)
-        tables(h) = builders(h).map(b => if (b == null) TreeletRecord.Empty else b.result())
+      for (h <- 1 to k) tables(h) = Array.fill(g.n)(TreeletRecord.Empty)
+      for ((v, c) <- state.mapValues(_.c).collect(); h <- 1 to k) tables(h)(v) = c(h)
       LocalEngine.Result(g, colors, k, zeroRoot, tables)
     }
 
-    def unpersist(): Unit = levels.foreach(_.unpersist())
+    def unpersist(): Unit = state.unpersist(blocking = false)
   }
 
-  /** Run the DP.
+  /** Run the DP: one Spark job, and one shuffle per level on top of the
+    * one that gathers each vertex's color and neighbors. The state is
+    * partitioned by vertex into as many partitions as `edges` has.
+    *
+    * Every vertex id must be in [0, Int.MaxValue] and every color in
+    * [0, k), with one color per vertex that has an edge; otherwise the job
+    * fails with the offending value in its message, and nothing stays
+    * persisted.
     *
     * @param edges    symmetric simple edge list (src, dst), both directions
     * @param colors   (v, col) with col in [0, k)
     * @param zeroRoot restrict level k to color-0 roots (§3.2)
     */
   def run(spark: SparkSession, edges: DataFrame, colors: DataFrame, k: Int,
-          zeroRoot: Boolean = true,
-          storage: StorageLevel = StorageLevel.MEMORY_AND_DISK): Result = {
+          zeroRoot: Boolean = true): Result = {
     require(k >= 2 && k <= 8, s"k=$k out of [2,8]")
-    val singletonUdf = udf((c: Int) => ColoredTreelet.singleton(c))
-    val e = edges.select(col("src").cast(LongType), col("dst").cast(LongType))
-
-    val level1 = colors
-      .select(col("v").cast(LongType) as "v",
-              singletonUdf(col("col")) as "tc",
-              lit(1).cast(CountType) as "cnt")
-      .persist(storage)
-
-    val zeroRoots = colors.where(col("col") === 0).select(col("v").cast(LongType) as "v")
-
-    val levels = mutable.ArrayBuffer[DataFrame](level1)
-    for (h <- 2 to k) {
-      val parts = (1 until h).map { h2 =>
-        val h1 = h - h2
-        val leftBase = levels(h1 - 1)
-        val left0 = if (zeroRoot && h == k) leftBase.join(zeroRoots, "v") else leftBase
-        val left = left0.select(col("v") as "lv", col("tc") as "ltc", col("cnt") as "lcnt")
-        val right = levels(h2 - 1).select(col("v") as "rv", col("tc") as "rtc", col("cnt") as "rcnt")
-        left
-          .join(e, col("lv") === col("src"))
-          .join(right, col("dst") === col("rv"))
-          .select(col("lv") as "v",
-                  mergeUdf(col("ltc"), col("rtc")) as "tc",
-                  (col("lcnt") * col("rcnt")).cast(CountType) as "w")
-          .where(col("tc") =!= lit(-1L))
-      }
-      val lvl = parts
-        .reduce(_ unionAll _)
-        .groupBy("v", "tc")
-        .agg(sum(col("w")).cast(CountType) as "s")
-        .select(col("v"), col("tc"),
-                when(betaUdf(col("tc")) === 1, col("s"))
-                  .otherwise(exactDivUdf(col("s"), col("tc")).cast(CountType)) as "cnt")
-        .persist(storage)
-      levels += lvl
+    val edgeRows = edges.select(col("src").cast(LongType), col("dst").cast(LongType)).rdd
+    val part = new HashPartitioner(math.max(1, edgeRows.getNumPartitions))
+    val arcs = edgeRows.map(r => (vertexId(r.getLong(0)), vertexId(r.getLong(1))))
+    val colorOf = colors.select(col("v").cast(LongType), col("col").cast(IntegerType)).rdd.map { r =>
+      val v = vertexId(r.getLong(0)); val c = r.getInt(1)
+      require(c >= 0 && c < k, s"color $c of vertex $v is outside [0, $k)")
+      (v, c)
     }
-    // Materialize every cache with one action: level k reads levels 1..k−1.
-    levels.last.count()
-    Result(spark, k, zeroRoot, levels.toIndexedSeq)
+
+    val persisted = mutable.ArrayBuffer.empty[RDD[(Int, Vertex)]]
+    def keep(r: RDD[(Int, Vertex)]): RDD[(Int, Vertex)] = { persisted += r; r.persist(Storage) }
+
+    var state = keep(colorOf.cogroup(arcs, part).mapPartitions(_.map { case (v, (cs, nbrs)) =>
+      require(cs.size == 1, s"vertex $v has ${cs.size} colors")
+      v -> Vertex(cs.head, nbrs.toArray, Array(TreeletRecord.Empty, TreeletRecord.singleton(cs.head)),
+        Array(TreeletRecord.Empty))
+    }, preservesPartitioning = true))
+
+    for (h <- 2 to k) {
+      val sums = state.flatMap { case (_, s) =>
+        val r = s.c(h - 1)
+        if (r.size == 0) Iterator.empty else s.nbrs.iterator.map(_ -> r)
+      }.reduceByKey(part, _ + _)
+      val last = h == k
+      state = keep(state.leftOuterJoin(sums, part).mapValues { case (s, sum) =>
+        val n = s.n :+ sum.getOrElse(TreeletRecord.Empty)
+        val ch =
+          if (last && zeroRoot && s.color != 0) TreeletRecord.Empty
+          else TreeletRecord.eq1(h, s.c(_), (h2, nbr) => nbr.addRecord(n(h2)))
+        if (last) Vertex(s.color, Array.emptyIntArray, s.c :+ ch, Array.empty)
+        else Vertex(s.color, s.nbrs, s.c :+ ch, n)
+      })
+    }
+
+    // One action builds every level; the final state then holds all records.
+    try state.count()
+    catch { case e: Throwable => persisted.foreach(_.unpersist(blocking = false)); throw e }
+    persisted.init.foreach(_.unpersist(blocking = false))
+    Result(spark, k, zeroRoot, state)
+  }
+
+  /** A vertex id as the state's key. */
+  private def vertexId(v: Long): Int = {
+    require(v >= 0 && v <= Int.MaxValue, s"vertex id $v is outside [0, ${Int.MaxValue}]")
+    v.toInt
   }
 
   /** Convenience: run on a LocalGraph with a given coloring. */

@@ -1,11 +1,11 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.treelet.{ColoredTreelet, TreeletEnum}
 import scala.collection.mutable
 
-/** The build-up phase in memory: the one implementation of Eq. (1) that
-  * runs outside Spark.
+/** The build-up phase in memory: a parallel loop over vertices that runs
+  * the Eq. (1) kernel ([[TreeletRecord.eq1]]) at each, as [[BuildUp]] does
+  * on Spark.
   *
   * It is (a) the reference the Spark DP is validated against pair for
   * pair, (b) the engine behind the local Motivo table and samplers, and
@@ -28,15 +28,7 @@ object LocalEngine {
     lazy val totalTreelets: BigInt = tables(k).foldLeft(BigInt(0))(_ + _.total)
 
     /** r_j of AGS: colorful copies per free k-treelet shape. */
-    lazy val totalsByShape: Map[Int, BigInt] = {
-      val acc = mutable.HashMap.empty[Int, Array[Long]]
-      val c = new Array[Long](2)
-      for (rec <- tables(k); i <- 0 until rec.size) {
-        rec.countInto(i, c, 0)
-        U128.add(acc.getOrElseUpdate(TreeletEnum.freeShape(ColoredTreelet.shape(rec.codes(i))), new Array[Long](2)), 0, c, 0)
-      }
-      acc.map { case (j, t) => j -> U128.toBigInt(t, 0) }.toMap
-    }
+    lazy val totalsByShape: Map[Int, BigInt] = TreeletRecord.totalsByShape(tables(k).iterator)
 
     def count(h: Int, v: Int, ct: Long): BigInt = {
       val rec = tables(h)(v)
@@ -48,7 +40,8 @@ object LocalEngine {
   /** Run the DP. `colors(v)` must be in [0, k), and 2 ≤ k ≤ 8, the sizes
     * the treelet and graphlet codecs cover.
     *
-    * Each level is a parallel loop over vertices ([[Par.forEach]]):
+    * Each level is a parallel loop over vertices ([[Par.forEach]]); each
+    * vertex sums its neighbors' records into N_{h2}(v) for the kernel.
     * c(T_C, v) at level h reads only levels < h, and vertex v's record is
     * written by one task, so the tables do not depend on the thread count.
     */
@@ -65,59 +58,15 @@ object LocalEngine {
       Par.forEach(g.n) { v =>
         lvl(v) =
           if (restrictRoots && colors(v) != 0) TreeletRecord.Empty
-          else vertexRecord(g, tables, h, v)
+          else TreeletRecord.eq1(h, h1 => tables(h1)(v), (h2, nbr) => {
+            val right = tables(h2)
+            var ni = 0
+            while (ni < g.degree(v)) { nbr.addRecord(right(g.neighborAt(v, ni))); ni += 1 }
+          })
       }
       tables(h) = lvl
     }
     Result(g, colors, k, zeroRoot, tables)
-  }
-
-  /** Eq. (1) at one vertex: c_h(v) = Σ_{h2} merge(c_{h−h2}(v), N_{h2}(v)) / β
-    * with N_{h2}(v) = Σ_{u~v} c_{h2}(u). Summing the neighbors first is
-    * exact because `tryMerge` reads only the two codes, never u.
-    */
-  private def vertexRecord(g: LocalGraph, tables: Array[Level], h: Int, v: Int): TreeletRecord = {
-    val out = new TreeletRecord.Builder
-    val nbr = new TreeletRecord.Builder
-    val c1 = new Array[Long](2)
-    val c = new Array[Long](2)
-    val deg = g.degree(v)
-    var h2 = 1
-    while (h2 < h) {
-      val left = tables(h - h2)(v)
-      if (left.size > 0 && deg > 0) {
-        nbr.clear()
-        var ni = 0
-        while (ni < deg) {
-          val right = tables(h2)(g.neighborAt(v, ni))
-          var j = 0
-          while (j < right.size) {
-            right.countInto(j, c, 0)
-            nbr.add(right.codes(j), c, 0)
-            j += 1
-          }
-          ni += 1
-        }
-        var i = 0
-        while (i < left.size) {
-          val ct1 = left.codes(i)
-          left.countInto(i, c1, 0)
-          var j = 0
-          while (j < nbr.size) {
-            val m = ColoredTreelet.tryMerge(ct1, nbr.codes(j))
-            if (m != -1L) {
-              U128.mul(c1, 0, nbr.counts, 2 * j, c, 0)
-              out.add(m, c, 0)
-            }
-            j += 1
-          }
-          i += 1
-        }
-      }
-      h2 += 1
-    }
-    out.divideByBeta()
-    out.result()
   }
 
   /** Exact number of colorful *graphlet* copies per canonical code, by

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.treelet.{ColoredTreelet, Treelet}
+import repro.treelet.{ColoredTreelet, Treelet, TreeletEnum}
 
 /** One vertex's colorful treelets of one size: the record of the paper's
   * count table (§3.2), written once by the build-up and read as it is by the
@@ -8,9 +8,12 @@ import repro.treelet.{ColoredTreelet, Treelet}
   * `eta` holds their cumulative counts η as 128-bit slots ([[U128]]), so
   * `eta(2i), eta(2i + 1)` is the sum of the counts of codes 0..i.
   *
-  * Equality is by content, so two engines' records compare directly.
+  * Equality is by content, so two engines' records compare directly. A
+  * record is serializable, so the Spark build-up ships it across its
+  * shuffles with its exact counts.
   */
-final class TreeletRecord private[core] (val codes: Array[Long], private[core] val eta: Array[Long]) {
+final class TreeletRecord private[core] (val codes: Array[Long], private[core] val eta: Array[Long])
+    extends Serializable {
 
   /** The number of (code, count) pairs. */
   def size: Int = codes.length
@@ -52,6 +55,28 @@ final class TreeletRecord private[core] (val codes: Array[Long], private[core] v
     lo
   }
 
+  /** The code-wise sum of two records. The cumulative count of a code in
+    * the sum is the two records' cumulative counts up to that code, so the
+    * merge reads η as it is.
+    */
+  private[core] def +(that: TreeletRecord): TreeletRecord = {
+    if (size == 0) return that
+    if (that.size == 0) return this
+    val sumCodes = new Array[Long](size + that.size)
+    val sumEta = new Array[Long](2 * sumCodes.length)
+    var i = 0; var j = 0; var n = 0
+    while (i < size || j < that.size) {
+      val x = if (j == that.size || (i < size && codes(i) <= that.codes(j))) codes(i) else that.codes(j)
+      if (i < size && codes(i) == x) i += 1
+      if (j < that.size && that.codes(j) == x) j += 1
+      sumCodes(n) = x
+      if (i > 0) { sumEta(2 * n) = eta(2 * i - 2); sumEta(2 * n + 1) = eta(2 * i - 1) }
+      if (j > 0) U128.add(sumEta, 2 * n, that.eta, 2 * j - 2)
+      n += 1
+    }
+    new TreeletRecord(java.util.Arrays.copyOf(sumCodes, n), java.util.Arrays.copyOf(sumEta, 2 * n))
+  }
+
   def toMap: Map[Long, BigInt] = codes.indices.map(i => codes(i) -> count(i)).toMap
 
   override def equals(o: Any): Boolean = o match {
@@ -73,6 +98,62 @@ object TreeletRecord {
   def singleton(color: Int): TreeletRecord =
     new TreeletRecord(Array(ColoredTreelet.singleton(color)), Array(0L, 1L))
 
+  /** Eq. (1) at one vertex v, the kernel both build-up engines run:
+    * c_h(v) = Σ_{h2} merge(c_{h−h2}(v), N_{h2}(v)) / β, where
+    * N_{h2}(v) = Σ_{u~v} c_{h2}(u). Summing the neighbors first is exact
+    * because `tryMerge` reads only the two codes, never u.
+    *
+    * `own(h1)` is v's record at size h1 < h; `addNbrSum(h2, b)` adds
+    * N_{h2}(v) to the empty builder `b`. [[LocalEngine]] sums the neighbors'
+    * records there; [[BuildUp]] adds the sum its shuffle delivered.
+    */
+  private[core] def eq1(h: Int, own: Int => TreeletRecord,
+                        addNbrSum: (Int, Builder) => Unit): TreeletRecord = {
+    val out = new Builder
+    val nbr = new Builder
+    val c1 = new Array[Long](2)
+    val c = new Array[Long](2)
+    var h2 = 1
+    while (h2 < h) {
+      val left = own(h - h2)
+      if (left.size > 0) {
+        nbr.clear()
+        addNbrSum(h2, nbr)
+        var i = 0
+        while (i < left.size) {
+          val ct1 = left.codes(i)
+          left.countInto(i, c1, 0)
+          var j = 0
+          while (j < nbr.size) {
+            val m = ColoredTreelet.tryMerge(ct1, nbr.codes(j))
+            if (m != -1L) {
+              U128.mul(c1, 0, nbr.counts, 2 * j, c, 0)
+              out.add(m, c, 0)
+            }
+            j += 1
+          }
+          i += 1
+        }
+      }
+      h2 += 1
+    }
+    out.divideByBeta()
+    out.result()
+  }
+
+  /** Copies per free treelet shape over records of one size: the r_j of
+    * AGS when the records are level k's.
+    */
+  private[core] def totalsByShape(records: Iterator[TreeletRecord]): Map[Int, BigInt] = {
+    val acc = scala.collection.mutable.HashMap.empty[Int, Array[Long]]
+    val c = new Array[Long](2)
+    for (rec <- records; i <- 0 until rec.size) {
+      rec.countInto(i, c, 0)
+      U128.add(acc.getOrElseUpdate(TreeletEnum.freeShape(ColoredTreelet.shape(rec.codes(i))), new Array[Long](2)), 0, c, 0)
+    }
+    acc.map { case (j, t) => j -> U128.toBigInt(t, 0) }.toMap
+  }
+
   /** Sums of 128-bit counts per colored-treelet code: an open-addressing
     * index over dense entry arrays, so the entries can be scanned in
     * insertion order. One builder belongs to one thread.
@@ -82,6 +163,7 @@ object TreeletRecord {
     private[core] var counts = new Array[Long](16)
     private[core] var size = 0
     private var index = new Array[Int](16) // entry + 1, or 0 when free
+    private val scratch = new Array[Long](2)
 
     def clear(): Unit = {
       java.util.Arrays.fill(index, 0)
@@ -93,6 +175,16 @@ object TreeletRecord {
     def add(code: Long, src: Array[Long], j: Int): Unit = {
       val e = entry(code) // may grow `counts`
       U128.add(counts, 2 * e, src, j)
+    }
+
+    /** Adds every count of `r` to its code's sum. */
+    def addRecord(r: TreeletRecord): Unit = {
+      var j = 0
+      while (j < r.size) {
+        r.countInto(j, scratch, 0)
+        add(r.codes(j), scratch, 0)
+        j += 1
+      }
     }
 
     /** Divides every sum by its treelet's β (Eq. 1), exactly. */

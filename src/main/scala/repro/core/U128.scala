@@ -9,8 +9,8 @@ import repro.treelet.ColoredTreelet
   * per operation.
   *
   * Values stay in [0, 2^127 − 1]: `add` and `mul` throw
-  * `ArithmeticException` past it, about where Spark's `Decimal(38,0)`
-  * (10^38 − 1) overflows, so a count that fits one engine fits the other.
+  * `ArithmeticException` past it, so no count wraps silently in either
+  * build-up engine.
   */
 private[core] object U128 {
 

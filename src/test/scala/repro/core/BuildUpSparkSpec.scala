@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.SparkException
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.color.Coloring
@@ -22,18 +24,63 @@ class BuildUpSparkSpec extends SparkSpec {
       Generators.er(40, 110, seed = 71),
       Generators.ringChords(30, 18, seed = 72),
       Generators.caveman(5, 6, 0.15, seed = 73))
-    for (g <- graphs; k <- 3 to 5) {
+    // the records must not depend on how the input edges are partitioned
+    for (g <- graphs; k <- 3 to 5; parts <- Seq(None, Some(1), Some(7))) {
       val coloring = Coloring.uniform(k, seed = 100 + k)
       val colors = colorsArr(g, coloring)
       val ref = LocalEngine.buildUp(g, colors, k)
-      val build = BuildUp.runLocalGraph(spark, g, coloring)
+      val edges = Graphs.edgesDF(spark, g)
+      val build = BuildUp.run(spark, parts.fold(edges)(edges.repartition),
+        coloring.colorsDF(spark, g.n.toLong), k)
       try {
         val got = build.toLocalResult(g, colors)
         for (h <- 1 to k; v <- 0 until g.n)
-          assert(got.tables(h)(v) == ref.tables(h)(v), s"k=$k h=$h v=$v")
+          assert(got.tables(h)(v) == ref.tables(h)(v), s"k=$k partitions=$parts h=$h v=$v")
         assert(build.totalTreelets == ref.totalTreelets)
       } finally build.unpersist()
     }
+  }
+
+  test("Spark counts past 2^63 stay exact: a star with 5,005 leaves at k=8") {
+    import spark.implicits._
+    val leaves = 5005
+    val g = LocalGraph.fromEdges(leaves + 1, (1 to leaves).map(i => (0, i)))
+    val colors = Array.tabulate(g.n)(v => if (v == 0) 0 else 1 + v % 7)
+    val colorsDF = spark.createDataset(colors.indices.map(v => (v.toLong, colors(v)))).toDF("v", "col")
+    val build = BuildUp.run(spark, Graphs.edgesDF(spark, g), colorsDF, 8)
+    try {
+      // a colorful 8-treelet is the hub with one leaf of each color 1..7
+      val expected = (1 to 7).map(c => BigInt(colors.count(_ == c))).product
+      assert(expected > BigInt(Long.MaxValue))
+      assert(build.totalTreelets == expected)
+      val got = build.toLocalResult(g, colors)
+      val ref = LocalEngine.buildUp(g, colors, 8)
+      for (h <- 1 to 8; v <- 0 until g.n)
+        assert(got.tables(h)(v) == ref.tables(h)(v), s"h=$h v=$v")
+    } finally build.unpersist()
+  }
+
+  test("run rejects bad colors and vertex ids up front and releases what it persisted") {
+    import spark.implicits._
+    val g = Generators.er(20, 40, seed = 86)
+    val k = 3
+    def cached: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    val before = cached
+    val edges = Graphs.edgesDF(spark, g)
+    val colors = Coloring.uniform(k, seed = 14).colorsDF(spark, g.n.toLong)
+    def failure(e: DataFrame, c: DataFrame): String =
+      intercept[SparkException](BuildUp.run(spark, e, c, k)).getMessage
+    val badColor = colors.where(col("v") =!= 5).union(Seq((5L, k)).toDF("v", "col"))
+    assert(failure(edges, badColor).contains(s"color $k of vertex 5 is outside [0, $k)"))
+    assert(cached -- before == Set.empty, "a failed run left cached state")
+    val bigId = 1L << 31
+    assert(failure(edges, colors.union(Seq((bigId, 0)).toDF("v", "col")))
+      .contains(s"vertex id $bigId is outside"))
+    assert(failure(edges.union(Seq((0L, -1L)).toDF("src", "dst")), colors)
+      .contains("vertex id -1 is outside"))
+    val withEdge = g.edgePairs.next()._1
+    assert(failure(edges, colors.where(col("v") =!= withEdge)).contains(s"vertex $withEdge has 0 colors"))
+    assert(cached -- before == Set.empty, "a failed run left cached state")
   }
 
   test("Spark DP equals the reference DP with biased coloring") {
