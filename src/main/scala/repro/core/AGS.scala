@@ -75,27 +75,24 @@ object AGS {
       shapes.iterator.map(j => nByShape(j).toDouble * s.getOrElse(j, 0L).toDouble / r(j)).sum
     }
 
-    /** Line 14: expected covered probability of sample(T_j), using current
-      * estimates ĝ_i = c_i / w_i for covered graphlets.
+    /** Line 14 for every shape at once: the expected covered probability
+      * of sample(T_j), using current estimates ĝ_i = c_i / w_i for covered
+      * graphlets. Each covered graphlet's w_i is computed once.
       */
-    def coveredProb(j: Int): Double = {
-      var p = 0.0
+    def coveredProbs(): Array[Double] = {
+      val p = new Array[Double](shapes.length)
       for (code <- covered) {
-        val sij = sigma(code).getOrElse(j, 0L).toDouble
-        if (sij > 0) {
-          val w = weightOf(code)
-          if (w > 0) p += sij * (hits(code).toDouble / w) / r(j)
+        val s = sigma(code)
+        val w = weightOf(code)
+        for (x <- shapes.indices) {
+          val sij = s.getOrElse(shapes(x), 0L).toDouble
+          if (sij > 0 && w > 0) p(x) += sij * (hits(code).toDouble / w) / r(shapes(x))
         }
       }
       p
     }
 
-    def pickShape(): Int = {
-      if (covered.isEmpty) shapes.maxBy(r) // line 5: start anywhere; most mass first
-      else shapes.minBy(j => (coveredProb(j), -r(j)))
-    }
-
-    var current = pickShape()
+    var current = shapes.maxBy(r) // line 5: start anywhere; most mass first
     var taken = 0L
     var done = false
     while (taken < budget && !done) {
@@ -109,11 +106,12 @@ object AGS {
         if (hits(c) == cbar) { covered += c; newlyCovered = true }
       }
       if (newlyCovered) {
-        current = pickShape()
+        val p = coveredProbs()
+        current = shapes(shapes.indices.minBy(x => (p(x), -r(shapes(x)))))
         if (verbose)
           Console.err.println(s"[AGS] covered=${covered.size} taken=$taken -> shape ${Integer.toHexString(current)}")
         // Saturation stop: every shape's mass is (estimated) almost all covered.
-        if (shapes.forall(j => coveredProb(j) >= saturation)) done = true
+        if (p.forall(_ >= saturation)) done = true
       }
     }
 

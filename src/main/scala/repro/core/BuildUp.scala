@@ -3,8 +3,7 @@ package repro.core
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.{DecimalType, IntegerType, LongType, StructField, StructType}
+import org.apache.spark.sql.types.{DecimalType, LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 import repro.graph.LocalGraph
 import scala.collection.mutable
@@ -14,16 +13,19 @@ import scala.collection.mutable
   *
   * A vertex's state holds its color, its neighbors, its records c_h(v) for
   * the sizes built so far ([[TreeletRecord]]s, exact 128-bit counts) and its
-  * neighbor sums N_h(v) = Σ_{u~v} c_h(u). Level h takes one shuffle: every
-  * vertex u sends c_{h−1}(u) to its neighbors, and `reduceByKey` sums the
-  * records into N_{h−1}(v). A narrow step then runs the kernel
-  * [[LocalEngine]] runs too ([[TreeletRecord.eq1]]) on v's own records and
-  * its neighbor sums.
+  * neighbor sums N_h(v) = Σ_{u~v} c_h(u). One shuffle gathers each vertex's
+  * neighbors; since c_1(u) is u's color, the step after it reads N_1(v)
+  * from the neighbors' colors and builds c_2(v) without a second shuffle.
+  * Every further level h takes one shuffle: every vertex u sends
+  * c_{h−1}(u) to its neighbors, and `reduceByKey` sums the records into
+  * N_{h−1}(v). A narrow step then runs the kernel [[LocalEngine]] runs too
+  * ([[TreeletRecord.eq1]]) on v's own records and its neighbor sums.
   *
   * Fidelity notes:
   * - counts are unsigned 128-bit, as the paper's counters;
   * - 0-rooting (§3.2): at h = k only color-0 roots are produced;
-  * - biased coloring (§3.4) arrives through the colors DataFrame;
+  * - colors, biased ones (§3.4) included, come from a color function every
+  *   task calls, as the coloring is a pure hash: no coloring is shuffled;
   * - greedy flushing / mmap I/O become persist(MEMORY_AND_DISK) of the
   *   state — Spark's native spill plays the role of the paper's disk tables.
   */
@@ -98,53 +100,73 @@ object BuildUp {
     def unpersist(): Unit = state.unpersist(blocking = false)
   }
 
-  /** Run the DP: one Spark job, and one shuffle per level on top of the
-    * one that gathers each vertex's color and neighbors. The state is
-    * partitioned by vertex into as many partitions as `edges` has.
+  /** Run the DP: one Spark job and k − 1 shuffles. The first gathers each
+    * vertex's neighbors and builds levels 1 and 2 in the step after it;
+    * each further level is one more shuffle. The state is partitioned by
+    * vertex into as many partitions as `arcs` has.
     *
-    * Every vertex id must be in [0, Int.MaxValue] and every color in
-    * [0, k), with one color per vertex that has an edge; otherwise the job
-    * fails with the offending value in its message, and nothing stays
-    * persisted.
+    * Every arc end must be in [0, n) and every color in [0, k); otherwise
+    * the job fails with the offending value in its message, and nothing
+    * stays persisted.
     *
-    * @param edges    symmetric simple edge list (src, dst), both directions
-    * @param colors   (v, col) with col in [0, k)
+    * @param arcs     both directions of every edge of a simple graph
+    * @param n        the number of vertices, 0..n−1 (isolated ones included)
+    * @param colorOf  the color of a vertex, in [0, k); every task calls it,
+    *                 so no coloring is shuffled
     * @param zeroRoot restrict level k to color-0 roots (§3.2)
     */
-  def run(spark: SparkSession, edges: DataFrame, colors: DataFrame, k: Int,
+  def run(spark: SparkSession, arcs: RDD[(Int, Int)], n: Int, colorOf: Int => Int, k: Int,
           zeroRoot: Boolean = true): Result = {
     require(k >= 2 && k <= 8, s"k=$k out of [2,8]")
-    val edgeRows = edges.select(col("src").cast(LongType), col("dst").cast(LongType)).rdd
-    val part = new HashPartitioner(math.max(1, edgeRows.getNumPartitions))
-    val arcs = edgeRows.map(r => (vertexId(r.getLong(0)), vertexId(r.getLong(1))))
-    val colorOf = colors.select(col("v").cast(LongType), col("col").cast(IntegerType)).rdd.map { r =>
-      val v = vertexId(r.getLong(0)); val c = r.getInt(1)
+    require(n >= 0, s"n=$n is negative")
+    val input =
+      if (arcs.getNumPartitions > 0) arcs else spark.sparkContext.parallelize(Seq.empty[(Int, Int)], 1)
+    val parts = input.getNumPartitions
+    val part = new HashPartitioner(parts)
+    val color: Int => Int = { v =>
+      val c = colorOf(v)
       require(c >= 0 && c < k, s"color $c of vertex $v is outside [0, $k)")
-      (v, c)
+      c
+    }
+    // Partition i also carries a sentinel for every vertex v ≡ i (mod parts),
+    // so an isolated vertex gets its state too.
+    val ends = input.mapPartitionsWithIndex { (i, it) =>
+      it.map { arc => checkId(arc._1, n); checkId(arc._2, n); arc } ++
+        Iterator.range(i, n, parts).map(_ -> Sentinel)
     }
 
     val persisted = mutable.ArrayBuffer.empty[RDD[(Int, Vertex)]]
     def keep(r: RDD[(Int, Vertex)]): RDD[(Int, Vertex)] = { persisted += r; r.persist(Storage) }
 
-    var state = keep(colorOf.cogroup(arcs, part).mapPartitions(_.map { case (v, (cs, nbrs)) =>
-      require(cs.size == 1, s"vertex $v has ${cs.size} colors")
-      v -> Vertex(cs.head, nbrs.toArray, Array(TreeletRecord.Empty, TreeletRecord.singleton(cs.head)),
-        Array(TreeletRecord.Empty))
+    /** Level h at one vertex, from its state below h and N_{h−1}(v). */
+    def step(h: Int, s: Vertex, sum: TreeletRecord): Vertex = {
+      val nh = s.n :+ sum
+      val last = h == k
+      val ch =
+        if (last && zeroRoot && s.color != 0) TreeletRecord.Empty
+        else TreeletRecord.eq1(h, s.c(_), (h2, b) => b.addRecord(nh(h2)))
+      if (last) Vertex(s.color, Array.emptyIntArray, s.c :+ ch, Array.empty)
+      else Vertex(s.color, s.nbrs, s.c :+ ch, nh)
+    }
+
+    // Levels 1 and 2: c_1(v) is v's singleton and N_1(v) sums the
+    // neighbors' singletons, which are their colors.
+    var state = keep(ends.groupByKey(part).mapPartitions(_.map { case (v, us) =>
+      val nbrs = us.iterator.filter(_ != Sentinel).toArray
+      val n1 = new TreeletRecord.Builder
+      nbrs.foreach(u => n1.addRecord(TreeletRecord.singleton(color(u))))
+      val c = color(v)
+      v -> step(2, Vertex(c, nbrs, Array(TreeletRecord.Empty, TreeletRecord.singleton(c)),
+        Array(TreeletRecord.Empty)), n1.result())
     }, preservesPartitioning = true))
 
-    for (h <- 2 to k) {
+    for (h <- 3 to k) {
       val sums = state.flatMap { case (_, s) =>
         val r = s.c(h - 1)
         if (r.size == 0) Iterator.empty else s.nbrs.iterator.map(_ -> r)
       }.reduceByKey(part, _ + _)
-      val last = h == k
       state = keep(state.leftOuterJoin(sums, part).mapValues { case (s, sum) =>
-        val n = s.n :+ sum.getOrElse(TreeletRecord.Empty)
-        val ch =
-          if (last && zeroRoot && s.color != 0) TreeletRecord.Empty
-          else TreeletRecord.eq1(h, s.c(_), (h2, nbr) => nbr.addRecord(n(h2)))
-        if (last) Vertex(s.color, Array.emptyIntArray, s.c :+ ch, Array.empty)
-        else Vertex(s.color, s.nbrs, s.c :+ ch, n)
+        step(h, s, sum.getOrElse(TreeletRecord.Empty))
       })
     }
 
@@ -155,17 +177,19 @@ object BuildUp {
     Result(spark, k, zeroRoot, state)
   }
 
-  /** A vertex id as the state's key. */
-  private def vertexId(v: Long): Int = {
-    require(v >= 0 && v <= Int.MaxValue, s"vertex id $v is outside [0, ${Int.MaxValue}]")
-    v.toInt
-  }
+  /** Marks a vertex in the neighbor shuffle; no vertex id is negative. */
+  private val Sentinel = -1
 
-  /** Convenience: run on a LocalGraph with a given coloring. */
+  private def checkId(v: Int, n: Int): Unit =
+    require(v >= 0 && v < n, s"vertex id $v is outside [0, $n)")
+
+  /** Run on a LocalGraph: its arcs in `defaultParallelism` partitions, and
+    * colors from `coloring`'s hash in the tasks.
+    */
   def runLocalGraph(spark: SparkSession, g: LocalGraph, coloring: repro.color.Coloring,
                     zeroRoot: Boolean = true): Result = {
-    val edges = repro.graph.Graphs.edgesDF(spark, g)
-    val colors = coloring.colorsDF(spark, g.n.toLong)
-    run(spark, edges, colors, coloring.k, zeroRoot)
+    val sc = spark.sparkContext
+    run(spark, sc.parallelize(g.arcs.toIndexedSeq, sc.defaultParallelism), g.n,
+      v => coloring.colorOf(v.toLong), coloring.k, zeroRoot)
   }
 }

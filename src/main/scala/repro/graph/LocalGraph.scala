@@ -40,6 +40,10 @@ final class LocalGraph private (val n: Int, val offsets: Array[Int], val adj: Ar
 
   def maxDegree: Int = (0 until n).map(degree).maxOption.getOrElse(0)
 
+  /** Both directions (u, v) of every edge, for the Spark build-up. */
+  def arcs: Iterator[(Int, Int)] =
+    (0 until n).iterator.flatMap(u => neighbors(u).iterator.map(v => (u, v)))
+
   /** Undirected edge pairs (u < v), for export to Spark / DuckDB. */
   def edgePairs: Iterator[(Int, Int)] =
     (0 until n).iterator.flatMap(u => neighbors(u).iterator.filter(_ > u).map(v => (u, v)))

@@ -7,8 +7,8 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The session comes from the program's own builder
+  * SPARK_DRIVER_MEM, or to half of the physical memory clamped to
+  * [2g, 8g] when it is unset. The session comes from the program's own builder
   * (`repro.jobs.JobUtil.session`), so tests run the settings the jobs and
   * benchmarks run: among them, broadcast joins are disabled so the DP
   * exercises the shuffle path at small scale.

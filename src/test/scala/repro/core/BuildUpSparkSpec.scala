@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.SparkException
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart,
+  SparkListenerStageCompleted}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.color.Coloring
@@ -19,19 +21,52 @@ class BuildUpSparkSpec extends SparkSpec {
 
   private def ccToCode(s: CCShape): Int = Treelet.ofChildren(s.children.map(ccToCode))
 
+  private def arcs(g: LocalGraph): RDD[(Int, Int)] =
+    spark.sparkContext.parallelize(g.arcs.toSeq, spark.sparkContext.defaultParallelism)
+
+  /** Runs `body`, which must run one Spark job, in a job group of its own;
+    * returns its result and the number of that job's stages that wrote
+    * shuffle output.
+    */
+  private def withShuffleStages[A](body: => A): (A, Int) = {
+    val group = s"shuffle-stages-${System.nanoTime}"
+    val stages = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+    val shuffles = new java.util.concurrent.atomic.AtomicInteger
+    val ended = scala.concurrent.Promise[Unit]()
+    val jobs = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
+          jobs.add(e.jobId); e.stageIds.foreach(stages.add(_))
+        }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        if (stages.contains(e.stageInfo.stageId) &&
+            e.stageInfo.taskMetrics.shuffleWriteMetrics.recordsWritten > 0) shuffles.incrementAndGet()
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (jobs.contains(e.jobId)) ended.trySuccess(())
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "shuffle stage count")
+      val result = try body finally sc.clearJobGroup()
+      // events arrive in order, so a job's stages are in once its end is
+      scala.concurrent.Await.result(ended.future, scala.concurrent.duration.Duration(60, "s"))
+      (result, shuffles.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
   test("Spark DP equals the reference DP exactly (k=3,4,5; several graphs)") {
     val graphs = Seq(
       Generators.er(40, 110, seed = 71),
       Generators.ringChords(30, 18, seed = 72),
       Generators.caveman(5, 6, 0.15, seed = 73))
-    // the records must not depend on how the input edges are partitioned
+    // the records must not depend on how the input arcs are partitioned
     for (g <- graphs; k <- 3 to 5; parts <- Seq(None, Some(1), Some(7))) {
       val coloring = Coloring.uniform(k, seed = 100 + k)
       val colors = colorsArr(g, coloring)
       val ref = LocalEngine.buildUp(g, colors, k)
-      val edges = Graphs.edgesDF(spark, g)
-      val build = BuildUp.run(spark, parts.fold(edges)(edges.repartition),
-        coloring.colorsDF(spark, g.n.toLong), k)
+      val build = BuildUp.run(spark, parts.fold(arcs(g))(arcs(g).repartition(_)), g.n, colors(_), k)
       try {
         val got = build.toLocalResult(g, colors)
         for (h <- 1 to k; v <- 0 until g.n)
@@ -42,12 +77,10 @@ class BuildUpSparkSpec extends SparkSpec {
   }
 
   test("Spark counts past 2^63 stay exact: a star with 5,005 leaves at k=8") {
-    import spark.implicits._
     val leaves = 5005
     val g = LocalGraph.fromEdges(leaves + 1, (1 to leaves).map(i => (0, i)))
     val colors = Array.tabulate(g.n)(v => if (v == 0) 0 else 1 + v % 7)
-    val colorsDF = spark.createDataset(colors.indices.map(v => (v.toLong, colors(v)))).toDF("v", "col")
-    val build = BuildUp.run(spark, Graphs.edgesDF(spark, g), colorsDF, 8)
+    val build = BuildUp.run(spark, arcs(g), g.n, colors(_), 8)
     try {
       // a colorful 8-treelet is the hub with one leaf of each color 1..7
       val expected = (1 to 7).map(c => BigInt(colors.count(_ == c))).product
@@ -61,26 +94,50 @@ class BuildUpSparkSpec extends SparkSpec {
   }
 
   test("run rejects bad colors and vertex ids up front and releases what it persisted") {
-    import spark.implicits._
     val g = Generators.er(20, 40, seed = 86)
     val k = 3
     def cached: Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
     val before = cached
-    val edges = Graphs.edgesDF(spark, g)
-    val colors = Coloring.uniform(k, seed = 14).colorsDF(spark, g.n.toLong)
-    def failure(e: DataFrame, c: DataFrame): String =
-      intercept[SparkException](BuildUp.run(spark, e, c, k)).getMessage
-    val badColor = colors.where(col("v") =!= 5).union(Seq((5L, k)).toDF("v", "col"))
-    assert(failure(edges, badColor).contains(s"color $k of vertex 5 is outside [0, $k)"))
+    val coloring = Coloring.uniform(k, seed = 14)
+    val colorOf: Int => Int = v => coloring.colorOf(v.toLong)
+    def failure(a: RDD[(Int, Int)], c: Int => Int): String =
+      intercept[SparkException](BuildUp.run(spark, a, g.n, c, k)).getMessage
+    val badColor: Int => Int = v => if (v == 5) k else colorOf(v)
+    assert(failure(arcs(g), badColor).contains(s"color $k of vertex 5 is outside [0, $k)"))
     assert(cached -- before == Set.empty, "a failed run left cached state")
-    val bigId = 1L << 31
-    assert(failure(edges, colors.union(Seq((bigId, 0)).toDF("v", "col")))
-      .contains(s"vertex id $bigId is outside"))
-    assert(failure(edges.union(Seq((0L, -1L)).toDF("src", "dst")), colors)
+    val sc = spark.sparkContext
+    assert(failure(arcs(g).union(sc.parallelize(Seq((0, g.n)))), colorOf)
+      .contains(s"vertex id ${g.n} is outside [0, ${g.n})"))
+    assert(failure(arcs(g).union(sc.parallelize(Seq((0, -1)))), colorOf)
       .contains("vertex id -1 is outside"))
-    val withEdge = g.edgePairs.next()._1
-    assert(failure(edges, colors.where(col("v") =!= withEdge)).contains(s"vertex $withEdge has 0 colors"))
     assert(cached -- before == Set.empty, "a failed run left cached state")
+  }
+
+  test("a k-level build runs k − 1 shuffle stages") {
+    val g = Generators.er(40, 110, seed = 87)
+    for (k <- 2 to 5) {
+      val (build, shuffles) = withShuffleStages(BuildUp.runLocalGraph(spark, g, Coloring.uniform(k, seed = 15)))
+      build.unpersist()
+      assert(shuffles == k - 1, s"k=$k")
+    }
+  }
+
+  test("isolated vertices get the reference records") {
+    val g = LocalGraph.fromEdges(12, Seq((0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (4, 5)))
+    val isolated = (0 until g.n).filter(g.degree(_) == 0)
+    assert(isolated.nonEmpty)
+    for (k <- 2 to 4) {
+      val coloring = Coloring.uniform(k, seed = 16)
+      val colors = colorsArr(g, coloring)
+      val ref = LocalEngine.buildUp(g, colors, k)
+      val build = BuildUp.runLocalGraph(spark, g, coloring)
+      try {
+        val got = build.toLocalResult(g, colors)
+        for (v <- isolated) assert(got.tables(1)(v) == TreeletRecord.singleton(colors(v)), s"k=$k v=$v")
+        for (h <- 1 to k; v <- 0 until g.n) assert(got.tables(h)(v) == ref.tables(h)(v), s"k=$k h=$h v=$v")
+        assert(build.pairCounts.head == g.n)
+      } finally build.unpersist()
+    }
   }
 
   test("Spark DP equals the reference DP with biased coloring") {
@@ -101,10 +158,8 @@ class BuildUpSparkSpec extends SparkSpec {
     val g = Generators.er(30, 80, seed = 75)
     val k = 4
     val coloring = Coloring.uniform(k, seed = 6)
-    val edges = Graphs.edgesDF(spark, g)
-    val colors = coloring.colorsDF(spark, g.n.toLong)
-    val zero = BuildUp.run(spark, edges, colors, k, zeroRoot = true)
-    val all = BuildUp.run(spark, edges, colors, k, zeroRoot = false)
+    val zero = BuildUp.runLocalGraph(spark, g, coloring, zeroRoot = true)
+    val all = BuildUp.runLocalGraph(spark, g, coloring, zeroRoot = false)
     try {
       assert(all.totalTreelets == zero.totalTreelets * k)
     } finally { zero.unpersist(); all.unpersist() }
@@ -127,7 +182,7 @@ class BuildUpSparkSpec extends SparkSpec {
     val coloring = Coloring.uniform(k, seed = 8)
     val edges = Graphs.edgesDF(spark, g)
     val colorsDF = coloring.colorsDF(spark, g.n.toLong)
-    val build = BuildUp.run(spark, edges, colorsDF, k)
+    val build = BuildUp.runLocalGraph(spark, g, coloring)
     try {
       // Spark side: level-2 row (v, neighborColor, cnt); v's own color is in
       // the mask too, so extract the neighbor's color = mask minus v's color.
@@ -175,8 +230,7 @@ class BuildUpSparkSpec extends SparkSpec {
     val coloring = Coloring.uniform(k, seed = 9)
     val colors = colorsArr(g, coloring)
     val ref = LocalEngine.buildUp(g, colors, k, zeroRoot = false)
-    val build = BuildUp.run(spark, Graphs.edgesDF(spark, g),
-      coloring.colorsDF(spark, g.n.toLong), k, zeroRoot = false)
+    val build = BuildUp.runLocalGraph(spark, g, coloring, zeroRoot = false)
     try {
       import spark.implicits._
       val refRows = (0 until g.n).flatMap(v =>
@@ -196,7 +250,7 @@ class BuildUpSparkSpec extends SparkSpec {
       val coloring = Coloring.uniform(k, seed = 10 + k)
       val edges = Graphs.edgesDF(spark, g)
       val colorsDF = coloring.colorsDF(spark, g.n.toLong)
-      val motivo = BuildUp.run(spark, edges, colorsDF, k)
+      val motivo = BuildUp.runLocalGraph(spark, g, coloring)
       val cc = BaselineCC.run(spark, edges, colorsDF, k)
       try {
         for (h <- 1 to k) {
