@@ -59,19 +59,27 @@ final class MotivoLocalTable(
     Alias(w)
   }
 
-  // Lazily-built per-shape samplers (AGS rebuilds the alias per shape, §3.3).
-  private val shapeSamplers = new ConcurrentHashMap[Integer, ShapeSampler]
+  // Per-shape samplers (AGS rebuilds the alias per shape, §3.3), indexed by
+  // the shape's position in freeTrees(k); each is built on its first use.
+  private final class ShapeSlot(val shape: Int) {
+    lazy val sampler: ShapeSampler = buildShapeSampler(shape)
+  }
+  private val shapeSlots = TreeletEnum.freeTrees(k).toArray.map(new ShapeSlot(_))
 
-  private final class ShapeSampler(shape: Int) {
-    // level-k records filtered to codes of this free shape
-    val fKeys = new Array[Array[Long]](g.n)
-    val fCums = new Array[Array[Double]](g.n)
+  /** The level-k records filtered to codes of one free shape, flat: vertex
+    * v's codes and their cumulative weights are `codes`/`cums` in
+    * [off(v), off(v + 1)).
+    */
+  private final class ShapeSampler(val off: Array[Int], val codes: Array[Long],
+                                   val cums: Array[Double], val alias: Option[Alias])
+
+  private def buildShapeSampler(shape: Int): ShapeSampler = {
+    val off = new Array[Int](g.n + 1)
     val totals = new Array[Double](g.n)
-    var grand = 0.0
+    val kb = new mutable.ArrayBuilder.ofLong
+    val cb = new mutable.ArrayBuilder.ofDouble
     for (v <- 0 until g.n) {
       val rec = tables(k)(v)
-      val kb = mutable.ArrayBuilder.make[Long]
-      val cb = mutable.ArrayBuilder.make[Double]
       var acc = 0.0
       var i = 0
       while (i < rec.size) {
@@ -81,19 +89,33 @@ final class MotivoLocalTable(
         }
         i += 1
       }
-      fKeys(v) = kb.result(); fCums(v) = cb.result(); totals(v) = acc; grand += acc
+      off(v + 1) = kb.length; totals(v) = acc
     }
-    val alias: Option[Alias] = if (grand > 0) Some(Alias(totals)) else None
+    val alias = if (totals.exists(_ > 0)) Some(Alias(totals)) else None
+    new ShapeSampler(off, kb.result(), cb.result(), alias)
   }
 
-  // Memo caches of Σ_{u~v} c(ct, u) and of the hub distributions.
+  private def shapeSampler(shape: Int): ShapeSampler = {
+    val slot = shapeSlots.find(_.shape == shape).getOrElse(
+      throw new IllegalArgumentException(s"not a free $k-treelet shape: $shape"))
+    slot.sampler
+  }
+
+  // Memo caches of Σ_{u~v} c(ct, u) and of the hub distributions. The keys
+  // go through splitmix64's finalizer, a bijection, so that boxed keys
+  // spread over the maps' bins (Long.hashCode of the raw mix does not).
   private val sumCache = new ConcurrentHashMap[java.lang.Long, java.lang.Double]
   private val hubCache = new ConcurrentHashMap[java.lang.Long, HubDist]
-  private def cacheKey(v: Int, ct: Long): Long = v.toLong * 0x9E3779B97F4A7C15L ^ ct
+  private def cacheKey(h: Int, v: Int, ct: Long, hShift: Int): Long = {
+    var z = v.toLong * 0x9E3779B97F4A7C15L ^ ct ^ (h.toLong << hShift)
+    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+    z ^ (z >>> 31)
+  }
 
   /** Σ_{u~v} c(ct, u) with memoization. */
   private def neighborSum(h: Int, v: Int, ct: Long): Double = {
-    val key = cacheKey(v, ct) ^ (h.toLong << 56)
+    val key = cacheKey(h, v, ct, 56)
     val hit = sumCache.get(key)
     if (hit != null) hit
     else {
@@ -113,10 +135,10 @@ final class MotivoLocalTable(
   private final class HubDist(val nbrs: Array[Int], val cum: Array[Double])
 
   private def hubDist(h: Int, v: Int, ct: Long): HubDist =
-    hubCache.computeIfAbsent(cacheKey(v, ct) ^ (h.toLong << 52), _ => {
+    hubCache.computeIfAbsent(cacheKey(h, v, ct, 52), _ => {
       val d = g.degree(v)
-      val nb = mutable.ArrayBuilder.make[Int]
-      val cb = mutable.ArrayBuilder.make[Double]
+      val nb = new mutable.ArrayBuilder.ofInt
+      val cb = new mutable.ArrayBuilder.ofDouble
       var s = 0.0
       var i = 0
       while (i < d) {
@@ -136,7 +158,7 @@ final class MotivoLocalTable(
   private def drawNeighbor(h: Int, v: Int, ct: Long, rnd: Random): Int =
     if (g.degree(v) >= bufferThreshold) {
       val hd = hubDist(h, v, ct)
-      hd.nbrs(firstAbove(hd.cum, rnd.nextDouble() * hd.cum(hd.cum.length - 1)))
+      hd.nbrs(firstAbove(hd.cum, 0, hd.cum.length, rnd.nextDouble() * hd.cum(hd.cum.length - 1)))
     } else sweepDraw(h, v, ct, rnd)
 
   private def sweepDraw(h: Int, v: Int, ct: Long, rnd: Random): Int = {
@@ -166,12 +188,12 @@ final class MotivoLocalTable(
         val rec = tables(k)(v)
         (v, rec.codes(rec.indexAbove(rnd.nextDouble() * rec.totalWeight)))
       case Some(sh) =>
-        val ss = shapeSamplers.computeIfAbsent(sh, _ => new ShapeSampler(sh))
+        val ss = shapeSampler(sh)
         val al = ss.alias.getOrElse(
           throw new IllegalArgumentException(s"shape has no colorful copies: $sh"))
         val v = al.draw(rnd)
-        val cum = ss.fCums(v)
-        (v, ss.fKeys(v)(firstAbove(cum, rnd.nextDouble() * cum(cum.length - 1))))
+        val lo = ss.off(v); val hi = ss.off(v + 1)
+        (v, ss.codes(firstAbove(ss.cums, lo, hi, rnd.nextDouble() * ss.cums(hi - 1))))
     }
     val verts = new Array[Int](k)
     expand(v0, ct0, verts, rnd)
@@ -184,11 +206,12 @@ final class MotivoLocalTable(
     Graphlet.canonical(LocalGraph.inducedAdj(g, verts))
   }
 
-  /** The first index i with cum(i) > x, for 0 ≤ x < cum(last): a draw of
-    * x = 0.0 then skips leading zero-weight entries.
+  /** The first index i in [from, until) with cum(i) > x, for
+    * 0 ≤ x < cum(until − 1): a draw of x = 0.0 then skips leading
+    * zero-weight entries.
     */
-  private def firstAbove(cum: Array[Double], x: Double): Int = {
-    var lo = 0; var hi = cum.length - 1
+  private def firstAbove(cum: Array[Double], from: Int, until: Int, x: Double): Int = {
+    var lo = from; var hi = until - 1
     while (lo < hi) { val mid = (lo + hi) >>> 1; if (cum(mid) <= x) lo = mid + 1 else hi = mid }
     lo
   }
@@ -220,7 +243,7 @@ final class MotivoLocalTable(
       si += 1
     }
     require(tot > 0, s"inconsistent table: no valid split for ${ColoredTreelet.toPrettyString(ct)} at $v")
-    si = firstAbove(cum, rnd.nextDouble() * tot)
+    si = firstAbove(cum, 0, cum.length, rnd.nextDouble() * tot)
     val ct1 = splits(2 * si); val ct2 = splits(2 * si + 1)
     val u = drawNeighbor(h2, v, ct2, rnd)
     expand(v, ct1, verts, rnd)

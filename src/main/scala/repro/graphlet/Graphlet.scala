@@ -14,9 +14,14 @@ import java.util.concurrent.ConcurrentHashMap
   *
   * Canonical form = the *minimum* code over all vertex orderings, found by
   * branch-and-bound with twin pruning (vertices with identical adjacency
-  * rows are interchangeable — handles stars/cliques in linear time) and a
-  * process-wide memo cache keyed by the raw code (the sampler re-sees the
-  * same induced subgraphs constantly).
+  * rows are interchangeable — handles stars/cliques in linear time). A
+  * process-wide memo caches the result (the sampler re-sees the same
+  * induced subgraphs constantly). Its key is the graphlet relabeled in
+  * descending-degree order, ties kept in input order (refinement round 0),
+  * so the labelings of one graphlet share few keys: the 7! labelings of the
+  * 7-star share one, the 6-path's 360 share at most 24. The memo therefore
+  * stays bounded by the graphlets' degree-ordered relabelings, not by how
+  * the sampler happens to order their vertices.
   */
 object Graphlet {
 
@@ -85,18 +90,52 @@ object Graphlet {
 
   private val canonCache = new ConcurrentHashMap[Long, java.lang.Long]()
 
+  /** Entries in the canonical-form memo. */
+  private[graphlet] def memoSize: Int = canonCache.size
+
+  /** Empties the memo, so that a test can count what one call sequence adds. */
+  private[graphlet] def clearMemo(): Unit = canonCache.clear()
+
   /** Canonical (minimal) code over all labelings of the graphlet. */
   def canonical(adj: Array[Int]): Long = {
     val k = adj.length
     require(k >= 1 && k <= MaxK, s"k=$k out of range [1, $MaxK]")
-    val raw = encode(adj)
     // cache key must include k; pack k into high bits (codes use ≤28 bits).
-    val key = (k.toLong << 56) | raw
+    val key = (k.toLong << 56) | degreeOrderedCode(adj)
     val hit = canonCache.get(key)
     if (hit != null) return hit.longValue
     val res = canonicalSearch(adj)
     canonCache.put(key, res)
     res
+  }
+
+  /** The code of the graphlet relabeled so that degrees descend, ties kept
+    * in input order. It is a relabeling of `adj`, so it has `adj`'s
+    * canonical form and is a sound memo key.
+    */
+  private def degreeOrderedCode(adj: Array[Int]): Long = {
+    val k = adj.length
+    val order = new Array[Int](k) // order(new) = old; stable insertion sort
+    var v = 0
+    while (v < k) {
+      val d = Integer.bitCount(adj(v))
+      var p = v
+      while (p > 0 && Integer.bitCount(adj(order(p - 1))) < d) { order(p) = order(p - 1); p -= 1 }
+      order(p) = v
+      v += 1
+    }
+    var code = 0L
+    var j = 1
+    while (j < k) {
+      val row = adj(order(j))
+      var i = 0
+      while (i < j) {
+        if (((row >> order(i)) & 1) == 1) code |= bit(i, j, k)
+        i += 1
+      }
+      j += 1
+    }
+    code
   }
 
   def canonicalOfCode(code: Long, k: Int): Long = canonical(decode(code, k))
@@ -169,7 +208,7 @@ object Graphlet {
 
   /** All canonical connected graphlet codes on k nodes (2, 6, 21, 112, 853
     * for k = 3..7). Exponential sweep — used by tests; k ≤ 6 is instant,
-    * k = 7 takes a few seconds.
+    * k = 7 (2^21 labeled graphs) takes under a second.
     */
   def allConnected(k: Int): Vector[Long] = {
     val t = nPairs(k)

@@ -241,4 +241,26 @@ class TableSpec extends SparkSpec {
       }
     }
   }
+
+  test("a shape outside freeTrees(k) fails with its value in the message") {
+    val g = Generators.er(30, 85, seed = 61)
+    val k = 4
+    val t = MotivoLocalTable.fromResult(LocalEngine.buildUp(g, colorsFor(g, k, 14), k))
+    val rnd = new Random(17)
+    val valid = t.totalsByShape.collectFirst { case (j, r) if r > 0 => j }.get
+    def drawValid(): Unit = {
+      val verts = t.sampleTreeletCopy(rnd, Some(valid))
+      assert(verts.distinct.length == k)
+      assert(repro.graphlet.Graphlet.isConnected(LocalGraph.inducedAdj(g, verts)))
+    }
+    drawValid()
+    // a 5-node shape, and the 4-path rooted at an end instead of its centroid
+    val outside = Seq(TreeletEnum.freeTrees(k + 1).head, TreeletEnum.pathRooted(k))
+    for (bad <- outside) {
+      assert(!TreeletEnum.freeTrees(k).contains(bad))
+      val e = intercept[IllegalArgumentException](t.sampleTreeletCopy(rnd, Some(bad)))
+      assert(e.getMessage.contains(s"not a free $k-treelet shape: $bad"), e.getMessage)
+      drawValid()
+    }
+  }
 }

@@ -109,4 +109,35 @@ class GraphletSpec extends SparkSpec {
       assert(canonical(star) != canonical(path))
     }
   }
+
+  test("the memo never returns another graph's code") {
+    // every labeled 5-vertex graph: all labelings of every 5-vertex graph
+    val k = 5
+    val all = (0L until (1L << nPairs(k))).map(decode(_, k))
+    all.foreach(canonical) // fill the memo in one order, then read it back
+    val perms = (0 until k).permutations.map(_.toArray).toVector
+    for (adj <- all) {
+      val brute = perms.map(p => encode(permuted(adj, p))).min
+      assert(canonical(adj) == brute, s"code ${encode(adj)}")
+    }
+  }
+
+  test("relabelings share memo entries") {
+    def labelings(adj: Array[Int]): Iterator[Array[Int]] =
+      (0 until adj.length).permutations.map(p => permuted(adj, p.toArray))
+    def path(k: Int): Array[Int] = {
+      val adj = new Array[Int](k)
+      for (i <- 0 until k - 1) { adj(i) |= 1 << (i + 1); adj(i + 1) |= 1 << i }
+      adj
+    }
+    val star = new Array[Int](7)
+    for (i <- 1 until 7) { star(0) |= 1 << i; star(i) |= 1 }
+    // (graph, distinct raw codes among its labelings, memo entries they may fill)
+    for ((adj, raw, bound) <- Seq((star, 7, 1), (path(6), 360, 24), (path(7), 2520, 120))) {
+      assert(labelings(adj).map(encode).toSet.size == raw)
+      clearMemo() // allConnected and the other tests may have filled these keys
+      assert(labelings(adj).map(canonical).toSet == Set(canonical(adj)))
+      assert(memoSize <= bound, s"${adj.toSeq}: $memoSize entries")
+    }
+  }
 }
