@@ -2,9 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments.{fmt, render}
 import repro.graph.Generators
-import repro.jobs.Table2Buildup
 
 /** §5.1 build-up speedup (Table 2 of EXPERIMENTS.md): Spark Motivo vs the
   * Spark CC baseline, with the Figure 2/4/7 micro-impacts.
@@ -19,12 +17,10 @@ import repro.jobs.Table2Buildup
 class Table2BuildupBench extends SparkSpec {
 
   private val scale = 0.5
-  private lazy val rows = Experiments.table2(spark, Table2Buildup.configs(scale))
+  private lazy val rows = Experiments.table2(spark, Experiments.table2Configs(scale))
 
   test("Table 2: build-up wall-clock Motivo vs CC") {
-    println(render("Table 2: build-up wall-clock, Motivo vs CC (Spark)",
-      Seq("graph", "k", "motivo s", "cc s", "speedup"),
-      rows.map(r => Seq(r.graph, r.k.toString, fmt(r.motivoSec), fmt(r.ccSec), fmt(r.speedup)))))
+    println(Experiments.table2Text(rows))
     // paper: Motivo 1.0×–4.8× faster, never slower (at real scale). Here:
     // k=6 rows must show the win; k=5 rows only must not collapse.
     // wall-clock on 10–20 s Spark jobs is noisy run-to-run, so the shape
@@ -56,7 +52,7 @@ class Table2BuildupBench extends SparkSpec {
   }
 
   test("Figure 7: build rate per edge is stable across graphs (predictability)") {
-    val configs = Table2Buildup.configs(scale).filter(_._3 == 5)
+    val configs = Experiments.table2Configs(scale).filter(_._3 == 5)
     val k5 = rows.filter(_.k == 5)
     val rates = k5.map(r => r.motivoSec / (configs.find(_._1 == r.graph).get._2.m / 1e6))
     println("[fig7] motivo seconds per million edges, k=5: " +

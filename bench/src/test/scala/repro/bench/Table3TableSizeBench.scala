@@ -2,8 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments.{fmt, render}
-import repro.jobs.Table2Buildup
 
 /** §5.1 count-table size ratio (Table 3 of EXPERIMENTS.md). */
 class Table3TableSizeBench extends SparkSpec {
@@ -11,11 +9,8 @@ class Table3TableSizeBench extends SparkSpec {
   private val scale = 0.5
 
   test("Table 3: CC table bytes vs Motivo compact bytes") {
-    val rows = Experiments.table3(Table2Buildup.configs(scale))
-    println(render("Table 3: count table size, CC vs Motivo",
-      Seq("graph", "k", "cc bytes", "motivo bytes", "ratio", "pairs"),
-      rows.map(r => Seq(r.graph, r.k.toString, r.ccBytes.toString,
-                        r.motivoBytes.toString, fmt(r.ratio), r.pairs.toString))))
+    val rows = Experiments.table3(Experiments.table2Configs(scale))
+    println(Experiments.table3Text(rows))
     // paper: ratios 1.0–108×, ≥2× in almost all cases.
     rows.foreach { r =>
       assert(r.ratio > 2.0, s"${r.graph} k=${r.k}: ratio ${r.ratio}")

@@ -2,9 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments.{fmt, render}
 import repro.graph.Generators
-import repro.jobs.Table4Sampling
 
 /** §5.1 sampling speed (Table 4 of EXPERIMENTS.md) + Figure 5 buffering. */
 class Table4SamplingBench extends SparkSpec {
@@ -12,10 +10,8 @@ class Table4SamplingBench extends SparkSpec {
   private val scale = 0.5
 
   test("Table 4: sampling rates Motivo vs CC") {
-    val rows = Experiments.table4(Table4Sampling.configs(scale))
-    println(render("Table 4: sampling rate (samples/s), Motivo vs CC",
-      Seq("graph", "k", "motivo/s", "cc/s", "speedup"),
-      rows.map(r => Seq(r.graph, r.k.toString, fmt(r.motivoRate), fmt(r.ccRate), fmt(r.speedup)))))
+    val rows = Experiments.table4(Experiments.table4Configs(scale))
+    println(Experiments.table4Text(rows))
     // paper: always ≥9×, up to 160×.
     rows.foreach(r => assert(r.speedup > 3.0, s"${r.graph} k=${r.k}: ${r.speedup}"))
     val worst = rows.map(_.speedup).min

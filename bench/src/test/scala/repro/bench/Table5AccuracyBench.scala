@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.jobs.Table5Accuracy
 
 /** §5.2–5.3 accuracy (Table 5 of EXPERIMENTS.md): ℓ1 error, ±50% counts,
   * rarest-graphlet reach, naive vs AGS — including the Yelp-style showcase
@@ -13,8 +12,8 @@ class Table5AccuracyBench extends SparkSpec {
   private val scale = 0.5
 
   test("Table 5: naive vs AGS accuracy across archetypes") {
-    val rows = Experiments.table5(Table5Accuracy.configs(scale), budget = 60000, cbar = 500)
-    println(Table5Accuracy.rowsText(rows))
+    val rows = Experiments.table5(Experiments.table5Configs(scale), budget = 60000, cbar = 500)
+    println(Experiments.table5Text(rows))
 
     val byKey = rows.map(r => (r.graph, r.k) -> r).toMap
 

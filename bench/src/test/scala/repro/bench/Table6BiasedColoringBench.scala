@@ -2,8 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.Experiments
-import repro.exp.Experiments.{fmt, render}
-import repro.graph.Generators
 
 /** §3.4 biased coloring (Table 6 of EXPERIMENTS.md): smaller/faster builds,
   * bounded accuracy loss.
@@ -11,27 +9,10 @@ import repro.graph.Generators
 class Table6BiasedColoringBench extends SparkSpec {
 
   private val scale = 0.5
-  private val k = 5
 
   test("Table 6: biased coloring trades accuracy for time and space") {
-    val byName = Generators.benchmarkSuite(scale).map(t => t._1 -> t._3).toMap
-    val big = byName("friendster-lite")
-    val small = byName("amazon-lite")
-    val truth = repro.core.ExactCount.census(small, k).map { case (c, n) => c -> n.toDouble }
-
-    // aggressive λ on the big graph (time/space), milder λ on the small
-    // error graph — concentration needs λ^{k-1}·n/Δ^{k-2} large (§3.4)
-    val timing = Experiments.table6(spark, big, "friendster-lite", k,
-      Seq(None, Some(0.06), Some(0.03)), truth = Map.empty, budget = 1)
-    val errors = Experiments.table6(spark, small, "amazon-lite", k,
-      Seq(None, Some(0.12), Some(0.06)), truth, budget = 60000)
-
-    println(render("Table 6: biased coloring (§3.4)",
-      Seq("graph", "k", "lambda", "build s", "pairs", "med |err|", "p90 |err|"),
-      (timing ++ errors).map(r => Seq(r.graph, r.k.toString, r.lambda, fmt(r.buildSec),
-        r.pairs.toString,
-        if (r.medAbsErr.isNaN) "-" else f"${r.medAbsErr}%.3f",
-        if (r.p90AbsErr.isNaN) "-" else f"${r.p90AbsErr}%.3f"))))
+    val (timing, errors) = Experiments.table6Suite(spark, scale)
+    println(Experiments.table6Text(timing ++ errors))
 
     // paper: ≥2× less table mass; build-time shrinks 1.7×–7× at scale (at
     // our scale Spark overheads flatten wall-clock, so the load-bearing

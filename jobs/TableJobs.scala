@@ -1,7 +1,6 @@
 package repro.jobs
 
 import repro.exp.Experiments
-import repro.exp.Experiments.{fmt, render}
 import repro.graph.Generators
 
 /** Table 1: dataset statistics (no Spark needed, kept as a job for
@@ -14,33 +13,11 @@ object Table1Datasets {
 
 /** Table 2: build-up speedup of Motivo over the CC baseline (both on Spark). */
 object Table2Buildup {
-  /** k=5 rows: small workloads (Spark fixed overheads dominate both
-    * engines); k=6 rows: the merge work dominates and Motivo's advantage
-    * shows, as in the paper where the gap grows with k.
-    */
-  def configs(scale: Double): Seq[(String, repro.graph.LocalGraph, Int)] = {
-    val byName = Generators.benchmarkSuite(scale).map(t => t._1 -> t._3).toMap
-    Seq(
-      ("facebook-lite", byName("facebook-lite"), 5),
-      ("amazon-lite", byName("amazon-lite"), 5),
-      ("dblp-lite", byName("dblp-lite"), 5),
-      ("berkstan-lite", byName("berkstan-lite"), 5),
-      ("facebook-lite", byName("facebook-lite"), 6),
-      ("orkut-lite", byName("orkut-lite"), 6),
-      ("berkstan-lite", byName("berkstan-lite"), 6),
-      // one full-scale row where merge volume dwarfs Spark overheads —
-      // the regime the whole paper operates in
-      ("orkut-full", Generators.social(1500, 15000, closure = 0.5, seed = 15), 6),
-    )
-  }
-
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table2-buildup")
-    val rows = Experiments.table2(spark, configs(JobUtil.scaleArg(args, 0.5)))
+    val rows = Experiments.table2(spark, Experiments.table2Configs(JobUtil.scaleArg(args, 0.5)))
     val (succRate, ccRate) = Experiments.mergeMicrobench()
-    println(render("Table 2: build-up wall-clock, Motivo vs CC (Spark)",
-      Seq("graph", "k", "motivo s", "cc s", "speedup"),
-      rows.map(r => Seq(r.graph, r.k.toString, fmt(r.motivoSec), fmt(r.ccSec), fmt(r.speedup)))))
+    println(Experiments.table2Text(rows))
     println(f"[fig2] check-and-merge ops/s: succinct=${succRate}%.0f cc-objects=${ccRate}%.0f " +
             f"(${succRate / ccRate}%.1fx)")
     spark.stop()
@@ -49,33 +26,15 @@ object Table2Buildup {
 
 /** Table 3: count-table bytes, CC representation vs Motivo compact arrays. */
 object Table3TableSize {
-  def main(args: Array[String]): Unit = {
-    val rows = Experiments.table3(Table2Buildup.configs(JobUtil.scaleArg(args, 0.5)))
-    println(render("Table 3: count table size, CC vs Motivo",
-      Seq("graph", "k", "cc bytes", "motivo bytes", "ratio", "pairs"),
-      rows.map(r => Seq(r.graph, r.k.toString, r.ccBytes.toString,
-                        r.motivoBytes.toString, fmt(r.ratio), r.pairs.toString))))
-  }
+  def main(args: Array[String]): Unit =
+    println(Experiments.table3Text(Experiments.table3(Experiments.table2Configs(JobUtil.scaleArg(args, 0.5)))))
 }
 
 /** Table 4: sampling rates, Motivo local sampler vs CC-style sampler. */
 object Table4Sampling {
-  def configs(scale: Double): Seq[(String, repro.graph.LocalGraph, Int)] = {
-    val byName = Generators.benchmarkSuite(scale).map(t => t._1 -> t._3).toMap
-    Seq(
-      ("facebook-lite", byName("facebook-lite"), 5),
-      ("amazon-lite", byName("amazon-lite"), 5),
-      ("berkstan-lite", byName("berkstan-lite"), 5),
-      ("yelp-lite", byName("yelp-lite"), 5),
-    )
-  }
-
   def main(args: Array[String]): Unit = {
     val scale = JobUtil.scaleArg(args, 0.5)
-    val rows = Experiments.table4(configs(scale))
-    println(render("Table 4: sampling rate (samples/s), Motivo vs CC",
-      Seq("graph", "k", "motivo/s", "cc/s", "speedup"),
-      rows.map(r => Seq(r.graph, r.k.toString, fmt(r.motivoRate), fmt(r.ccRate), fmt(r.speedup)))))
+    println(Experiments.table4Text(Experiments.table4(Experiments.table4Configs(scale))))
     val hub = Generators.benchmarkSuite(scale).find(_._1 == "berkstan-lite").get._3
     val (buf, nobuf) = Experiments.bufferingImpact(hub, 5)
     println(f"[fig5] berkstan-lite neighbor buffering: with=${buf}%.0f/s without=${nobuf}%.0f/s " +
@@ -85,57 +44,16 @@ object Table4Sampling {
 
 /** Table 5: accuracy (ℓ1, ±50% counts, rarest found), naive vs AGS. */
 object Table5Accuracy {
-  def configs(scale: Double): Seq[(String, repro.graph.LocalGraph, Int, Boolean)] = {
-    val byName = Generators.benchmarkSuite(scale).map(t => t._1 -> t._3).toMap
-    Seq(
-      ("amazon-lite", byName("amazon-lite"), 5, true),
-      ("dblp-lite", byName("dblp-lite"), 5, true),
-      ("facebook-lite", byName("facebook-lite"), 5, true),
-      ("yelp-lite", byName("yelp-lite"), 5, false),
-      ("yelp-lite", byName("yelp-lite"), 6, false),
-      ("yelp-lite", byName("yelp-lite"), 7, false),
-    )
-  }
-
-  def rowsText(rows: Seq[Experiments.AccuracyRow]): String =
-    render("Table 5: accuracy, naive vs AGS",
-      Seq("graph", "k", "truth", "distinct", "l2", "l1 naive", "l1 AGS",
-          "±50% naive", "±50% AGS", "rarest naive", "rarest AGS"),
-      rows.map(r => Seq(r.graph, r.k.toString, r.truthSource, r.distinctTruth.toString,
-        f"${r.l2}%.3f", f"${r.l1Naive}%.3f", f"${r.l1AGS}%.3f",
-        r.accNaive.toString, r.accAGS.toString,
-        r.rarestNaive.map(x => f"$x%.2e").getOrElse("-"),
-        r.rarestAGS.map(x => f"$x%.2e").getOrElse("-"))))
-
   def main(args: Array[String]): Unit =
-    println(rowsText(Experiments.table5(configs(JobUtil.scaleArg(args, 0.5)))))
+    println(Experiments.table5Text(Experiments.table5(Experiments.table5Configs(JobUtil.scaleArg(args, 0.5)))))
 }
 
 /** Table 6: biased coloring — build time/space vs accuracy (§3.4). */
 object Table6BiasedColoring {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table6-biased")
-    val scale = JobUtil.scaleArg(args, 0.5)
-    val byName = Generators.benchmarkSuite(scale).map(t => t._1 -> t._3).toMap
-    val k = 5
-    // timing/space graph: the largest archetype
-    val big = byName("friendster-lite")
-    // error graph: one with an exact census
-    val small = byName("amazon-lite")
-    val truth = repro.core.ExactCount.census(small, k).map { case (c, n) => c -> n.toDouble }
-    // aggressive λ on the big graph (time/space), milder λ on the small
-    // error graph — the paper's concentration condition λ^{k-1}n/Δ^{k-2}
-    // needs n large for small λ (§3.4)
-    val timing = Experiments.table6(spark, big, "friendster-lite", k,
-      Seq(None, Some(0.06), Some(0.03)), truth = Map.empty, budget = 1)
-    val errors = Experiments.table6(spark, small, "amazon-lite", k,
-      Seq(None, Some(0.12), Some(0.06)), truth)
-    println(render("Table 6: biased coloring (§3.4)",
-      Seq("graph", "k", "lambda", "build s", "pairs", "med |err|", "p90 |err|"),
-      (timing ++ errors).map(r => Seq(r.graph, r.k.toString, r.lambda, fmt(r.buildSec),
-        r.pairs.toString,
-        if (r.medAbsErr.isNaN) "-" else f"${r.medAbsErr}%.3f",
-        if (r.p90AbsErr.isNaN) "-" else f"${r.p90AbsErr}%.3f"))))
+    val (timing, errors) = Experiments.table6Suite(spark, JobUtil.scaleArg(args, 0.5))
+    println(Experiments.table6Text(timing ++ errors))
     spark.stop()
   }
 }

@@ -2,8 +2,7 @@ package repro.core
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{DecimalType, LongType, StructField, StructType}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 import repro.graph.LocalGraph
 import scala.collection.mutable
@@ -31,14 +30,6 @@ import scala.collection.mutable
   */
 object BuildUp {
 
-  /** The count column of the [[Result.level]] view. */
-  val CountType: DecimalType = DecimalType(38, 0)
-
-  private val LevelSchema = StructType(Seq(
-    StructField("v", LongType, nullable = false),
-    StructField("tc", LongType, nullable = false),
-    StructField("cnt", CountType, nullable = false)))
-
   private val Storage = StorageLevel.MEMORY_AND_DISK
 
   /** One vertex between levels: `c(h)` is c_h(v) and `n(h)` is N_h(v) for
@@ -48,22 +39,8 @@ object BuildUp {
   private[core] final case class Vertex(color: Int, nbrs: Array[Int],
                                         c: Array[TreeletRecord], n: Array[TreeletRecord])
 
-  final case class Result(spark: SparkSession, k: Int, zeroRoot: Boolean,
-                          state: RDD[(Int, Vertex)]) {
-
-    /** Level h, 1-based, as a read-only table (v: Long, tc: Long,
-      * cnt: Decimal(38,0)): the view the DataFrame sampler and the SQL
-      * oracles read.
-      */
-    def level(h: Int): DataFrame = {
-      require(h >= 1 && h <= k, s"level $h out of [1, $k]")
-      val rows = state.flatMap { case (v, s) =>
-        val r = s.c(h)
-        Iterator.tabulate(r.size)(i =>
-          Row(v.toLong, r.codes(i), new java.math.BigDecimal(r.count(i).bigInteger)))
-      }
-      spark.createDataFrame(rows, LevelSchema)
-    }
+  /** The build's final state: every vertex's records c_1(v) .. c_k(v), by vertex. */
+  final case class Result(k: Int, zeroRoot: Boolean, state: RDD[(Int, Vertex)]) {
 
     /** t: total number of colorful k-treelet copies (0-rooted ⇒ each once). */
     lazy val totalTreelets: BigInt = {
@@ -174,7 +151,7 @@ object BuildUp {
     try state.count()
     catch { case e: Throwable => persisted.foreach(_.unpersist(blocking = false)); throw e }
     persisted.init.foreach(_.unpersist(blocking = false))
-    Result(spark, k, zeroRoot, state)
+    Result(k, zeroRoot, state)
   }
 
   /** Marks a vertex in the neighbor shuffle; no vertex id is negative. */

@@ -14,7 +14,8 @@ import scala.util.Random
   *   search + neighbor buffering) fed by either the Spark or the local DP,
   *   sampling on every core — used where the paper measures single-machine
   *   sampling rates;
-  * - [[DistSampler]], the DataFrame sampler — the distributed path.
+  * - [[DistSampler]], which samples the Spark build's records where they
+  *   are, one Spark job per batch — the distributed path.
   */
 object Motivo {
 
@@ -119,7 +120,7 @@ object Motivo {
     Run(local.k, coloring, table.totalTreelets, naive, budget, ags)
   }
 
-  /** Fully distributed run: Spark build-up + Spark sampler. */
+  /** Fully distributed run: Spark build-up + Spark sampler; an empty urn answers zero. */
   def runSparkFull(spark: SparkSession, g: LocalGraph, k: Int,
                    budget: Long, seed: Long = 7,
                    lambda: Option[Double] = None, cbar: Int = 1000,
@@ -128,6 +129,8 @@ object Motivo {
     val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
     val build = BuildUp.runLocalGraph(spark, g, coloring)
     try {
+      if (build.totalTreelets == 0)
+        return Run(k, coloring, BigInt(0), Option.when(doNaive)(Map.empty), 0L, None)
       val sampler = new DistSampler(spark, build,
         Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed)
       try {

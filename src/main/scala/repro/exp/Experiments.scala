@@ -21,6 +21,16 @@ object Experiments {
     (a, (System.nanoTime() - t0) / 1e9)
   }
 
+  /** The best seconds of `a` and of `b` over `passes` passes that alternate
+    * between them, after one untimed pass of each: a slow phase of the JVM
+    * or the host then hits both sides.
+    */
+  def bestTimes(passes: Int)(a: => Any, b: => Any): (Double, Double) = {
+    a; b
+    val times = (1 to passes).map(_ => (timed(a)._2, timed(b)._2))
+    (times.map(_._1).min, times.map(_._2).min)
+  }
+
   def fmt(d: Double): String = if (d >= 100) f"$d%.0f" else if (d >= 1) f"$d%.1f" else f"$d%.3f"
 
   def render(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
@@ -59,6 +69,32 @@ object Experiments {
   final case class BuildRow(graph: String, k: Int, motivoSec: Double, ccSec: Double) {
     def speedup: Double = ccSec / motivoSec
   }
+
+  /** The builds of Tables 2 and 3 at `scale`. k=5 rows are small workloads
+    * (Spark's fixed overheads dominate both engines); in k=6 rows the merge
+    * work dominates and Motivo's advantage shows, as in the paper, where the
+    * gap grows with k.
+    */
+  def table2Configs(scale: Double): Seq[(String, LocalGraph, Int)] =
+    suite(scale, "facebook-lite" -> 5, "amazon-lite" -> 5, "dblp-lite" -> 5, "berkstan-lite" -> 5,
+      "facebook-lite" -> 6, "orkut-lite" -> 6, "berkstan-lite" -> 6) :+
+      // one full-scale row where merge volume dwarfs Spark overheads —
+      // the regime the whole paper operates in
+      ("orkut-full", Generators.social(1500, 15000, closure = 0.5, seed = 15), 6)
+
+  private def graphs(scale: Double): Map[String, LocalGraph] =
+    Generators.benchmarkSuite(scale).map(t => t._1 -> t._3).toMap
+
+  /** The named benchmark graphs at `scale`, each with its k. */
+  private def suite(scale: Double, rows: (String, Int)*): Seq[(String, LocalGraph, Int)] = {
+    val byName = graphs(scale)
+    rows.map { case (name, k) => (name, byName(name), k) }
+  }
+
+  def table2Text(rows: Seq[BuildRow]): String =
+    render("Table 2: build-up wall-clock, Motivo vs CC (Spark)",
+      Seq("graph", "k", "motivo s", "cc s", "speedup"),
+      rows.map(r => Seq(r.graph, r.k.toString, fmt(r.motivoSec), fmt(r.ccSec), fmt(r.speedup))))
 
   /** §5.1 build-up speedup: Spark Motivo vs Spark CC baseline, plus the
     * Figure-2-style check-and-merge microbenchmark and Figure-7 style
@@ -148,16 +184,13 @@ object Experiments {
     CCTreelet(shape(ColoredTreelet.shape(ct)), (0 until 16).filter(i => ((mask >> i) & 1) == 1).toSet)
   }
 
-  /** Figure 4 analogue: build-up with and without 0-rooting (local DP,
-    * JIT-warmed). The two builds alternate, so a slow phase of the JVM or
-    * the host hits both; each side reports its best of nine.
+  /** Figure 4 analogue: build-up with and without 0-rooting (local DP),
+    * each side's best of nine interleaved builds.
     */
   def zeroRootingImpact(g: LocalGraph, k: Int, seed: Long = 3): (Double, Double) = {
     val colors = Array.tabulate(g.n)(v => Coloring.uniform(k, seed).colorOf(v.toLong))
-    def time(zero: Boolean): Double = timed(LocalEngine.buildUp(g, colors, k, zeroRoot = zero))._2
-    time(true); time(false)
-    val pairs = (1 to 9).map(_ => (time(true), time(false)))
-    (pairs.map(_._1).min, pairs.map(_._2).min)
+    def build(zero: Boolean) = LocalEngine.buildUp(g, colors, k, zeroRoot = zero)
+    bestTimes(9)(build(true), build(false))
   }
 
   // ---------------------------------------------------------------- Table 3
@@ -180,49 +213,61 @@ object Experiments {
     }
   }
 
+  def table3Text(rows: Seq[SizeRow]): String =
+    render("Table 3: count table size, CC vs Motivo",
+      Seq("graph", "k", "cc bytes", "motivo bytes", "ratio", "pairs"),
+      rows.map(r => Seq(r.graph, r.k.toString, r.ccBytes.toString,
+                        r.motivoBytes.toString, fmt(r.ratio), r.pairs.toString)))
+
   // ---------------------------------------------------------------- Table 4
 
   final case class SampleRow(graph: String, k: Int, motivoRate: Double, ccRate: Double) {
     def speedup: Double = motivoRate / ccRate
   }
 
+  /** Table 4's graphs at `scale`, k=5. */
+  def table4Configs(scale: Double): Seq[(String, LocalGraph, Int)] =
+    suite(scale, "facebook-lite" -> 5, "amazon-lite" -> 5, "berkstan-lite" -> 5, "yelp-lite" -> 5)
+
+  def table4Text(rows: Seq[SampleRow]): String =
+    render("Table 4: sampling rate (samples/s), Motivo vs CC",
+      Seq("graph", "k", "motivo/s", "cc/s", "speedup"),
+      rows.map(r => Seq(r.graph, r.k.toString, fmt(r.motivoRate), fmt(r.ccRate), fmt(r.speedup))))
+
   /** §5.1 sampling speed: Motivo local sampler (alias + binary search +
-    * buffering) vs CC-style sampler, samples/sec.
+    * buffering) vs CC-style sampler, samples/sec, each side's best of five
+    * interleaved passes.
     */
   def table4(configs: Seq[(String, LocalGraph, Int)], samples: Int = 20000,
              seed: Long = 5): Seq[SampleRow] = {
     configs.map { case (name, g, k) =>
       val colors = Array.tabulate(g.n)(v => Coloring.uniform(k, seed).colorOf(v.toLong))
-      val local = LocalEngine.buildUp(g, colors, k)
-      val motivo = MotivoLocalTable.fromResult(local)
-      val rnd1 = new Random(seed)
-      // warmup both samplers (JIT + caches out of the timed region)
-      (1 to 500).foreach(_ => motivo.sampleGraphlet(rnd1))
-      val (_, tm) = timed((1 to samples).foreach(_ => motivo.sampleGraphlet(rnd1)))
-      val cc = BaselineLocal.buildUp(g, colors, k)
-      val sampler = new BaselineLocal.Sampler(cc, new Random(seed + 1))
-      (1 to 200).foreach(_ => sampler.sampleGraphlet())
+      val motivo = MotivoLocalTable.fromResult(LocalEngine.buildUp(g, colors, k))
+      val rnd = new Random(seed)
+      val cc = new BaselineLocal.Sampler(BaselineLocal.buildUp(g, colors, k), new Random(seed + 1))
       val ccSamples = math.max(samples / 10, 500) // CC is slow; scale down, rate-normalize
-      val (_, tc) = timed((1 to ccSamples).foreach(_ => sampler.sampleGraphlet()))
+      val (tm, tc) = bestTimes(5)((1 to samples).foreach(_ => motivo.sampleGraphlet(rnd)),
+        (1 to ccSamples).foreach(_ => cc.sampleGraphlet()))
       SampleRow(name, k, samples / tm, ccSamples / tc)
     }
   }
 
   /** Figure 5 analogue: Motivo sampling rate with and without neighbor
-    * buffering on a hub-heavy graph.
+    * buffering on a hub-heavy graph, each side's best of five interleaved
+    * passes.
     */
   def bufferingImpact(g: LocalGraph, k: Int, samples: Int = 8000,
                       seed: Long = 6): (Double, Double) = {
     val colors = Array.tabulate(g.n)(v => Coloring.uniform(k, seed).colorOf(v.toLong))
     val local = LocalEngine.buildUp(g, colors, k)
-    def rate(threshold: Int): Double = {
+    def pass(threshold: Int): () => Unit = {
       val t = MotivoLocalTable.fromResult(local, bufferThreshold = threshold)
       val rnd = new Random(seed)
-      (1 to 300).foreach(_ => t.sampleGraphlet(rnd))
-      val (_, secs) = timed((1 to samples).foreach(_ => t.sampleGraphlet(rnd)))
-      samples / secs
+      () => (1 to samples).foreach(_ => t.sampleGraphlet(rnd))
     }
-    (rate(200), rate(Int.MaxValue)) // buffered vs unbuffered
+    val (buffered, unbuffered) = (pass(200), pass(Int.MaxValue))
+    val (tb, tu) = bestTimes(5)(buffered(), unbuffered())
+    (samples / tb, samples / tu)
   }
 
   // ---------------------------------------------------------------- Table 5
@@ -232,6 +277,24 @@ object Experiments {
                                l1Naive: Double, l1AGS: Double,
                                accNaive: Int, accAGS: Int,
                                rarestNaive: Option[Double], rarestAGS: Option[Double])
+
+  /** Table 5's graphs at `scale`: (name, graph, k, exact census as truth).
+    * yelp-lite's truth is a proxy.
+    */
+  def table5Configs(scale: Double): Seq[(String, LocalGraph, Int, Boolean)] =
+    suite(scale, "amazon-lite" -> 5, "dblp-lite" -> 5, "facebook-lite" -> 5,
+      "yelp-lite" -> 5, "yelp-lite" -> 6, "yelp-lite" -> 7)
+      .map { case (name, g, k) => (name, g, k, name != "yelp-lite") }
+
+  def table5Text(rows: Seq[AccuracyRow]): String =
+    render("Table 5: accuracy, naive vs AGS",
+      Seq("graph", "k", "truth", "distinct", "l2", "l1 naive", "l1 AGS",
+          "±50% naive", "±50% AGS", "rarest naive", "rarest AGS"),
+      rows.map(r => Seq(r.graph, r.k.toString, r.truthSource, r.distinctTruth.toString,
+        f"${r.l2}%.3f", f"${r.l1Naive}%.3f", f"${r.l1AGS}%.3f",
+        r.accNaive.toString, r.accAGS.toString,
+        r.rarestNaive.map(x => f"$x%.2e").getOrElse("-"),
+        r.rarestAGS.map(x => f"$x%.2e").getOrElse("-"))))
 
   /** §5.2–5.3: naive vs AGS accuracy. Ground truth is the exact ESU census
     * where feasible; otherwise high-budget proxy truth (as the paper does
@@ -311,6 +374,27 @@ object Experiments {
         med, p90)
     }
   }
+
+  /** Table 6 at `scale`, k=5, as (timing rows, error rows): aggressive λ on
+    * friendster-lite, the largest archetype, for build time and space; milder
+    * λ on amazon-lite, whose exact census gives the errors — concentration
+    * needs λ^{k-1}·n/Δ^{k-2} large (§3.4).
+    */
+  def table6Suite(spark: SparkSession, scale: Double): (Seq[BiasedRow], Seq[BiasedRow]) = {
+    val byName = graphs(scale)
+    val (k, small) = (5, byName("amazon-lite"))
+    val truth = ExactCount.census(small, k).map { case (c, n) => c -> n.toDouble }
+    val timing = table6(spark, byName("friendster-lite"), "friendster-lite", k,
+      Seq(None, Some(0.06), Some(0.03)), truth = Map.empty, budget = 1)
+    (timing, table6(spark, small, "amazon-lite", k, Seq(None, Some(0.12), Some(0.06)), truth, budget = 60000))
+  }
+
+  def table6Text(rows: Seq[BiasedRow]): String =
+    render("Table 6: biased coloring (§3.4)",
+      Seq("graph", "k", "lambda", "build s", "pairs", "med |err|", "p90 |err|"),
+      rows.map(r => Seq(r.graph, r.k.toString, r.lambda, fmt(r.buildSec), r.pairs.toString,
+        if (r.medAbsErr.isNaN) "-" else f"${r.medAbsErr}%.3f",
+        if (r.p90AbsErr.isNaN) "-" else f"${r.p90AbsErr}%.3f")))
 
   /** Convenience: canonical star code on k nodes (Yelp analysis, §5.3). */
   def starCode(k: Int): Long = {

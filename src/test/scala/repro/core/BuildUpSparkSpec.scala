@@ -4,6 +4,7 @@ import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart,
   SparkListenerStageCompleted}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.color.Coloring
@@ -20,6 +21,17 @@ class BuildUpSparkSpec extends SparkSpec {
     Array.tabulate(g.n)(v => c.colorOf(v.toLong))
 
   private def ccToCode(s: CCShape): Int = Treelet.ofChildren(s.children.map(ccToCode))
+
+  /** Level h of a build as a (v, tc, cnt) table, for the SQL oracles; the
+    * counts must fit a Long.
+    */
+  private def levelDF(build: BuildUp.Result, h: Int): DataFrame = {
+    import spark.implicits._
+    build.state.flatMap { case (v, s) =>
+      val r = s.c(h)
+      Iterator.tabulate(r.size)(i => (v.toLong, r.codes(i), r.count(i).toLong))
+    }.toDF("v", "tc", "cnt")
+  }
 
   private def arcs(g: LocalGraph): RDD[(Int, Int)] =
     spark.sparkContext.parallelize(g.arcs.toSeq, spark.sparkContext.defaultParallelism)
@@ -190,10 +202,9 @@ class BuildUpSparkSpec extends SparkSpec {
         val m = ColoredTreelet.colorMask(tc) & ~(1 << vcol)
         Integer.numberOfTrailingZeros(m)
       })
-      val sparkSide = build.level(2)
+      val sparkSide = levelDF(build, 2)
         .join(colorsDF, "v")
-        .select(col("v"), vcolUdf(col("tc"), col("col")) as "ncol",
-                col("cnt").cast("long") as "cnt")
+        .select(col("v"), vcolUdf(col("tc"), col("col")) as "ncol", col("cnt"))
       // DuckDB side: count neighbors by color, excluding same-color pairs
       Oracle.assertEquivalent(
         sparkSide,
@@ -236,7 +247,7 @@ class BuildUpSparkSpec extends SparkSpec {
       val refRows = (0 until g.n).flatMap(v =>
         ref.tables(3)(v).toMap.map { case (tc, c) => (v.toLong, tc, c.toLong) })
       val refDF = spark.createDataset(refRows).toDF("v", "tc", "cnt")
-      val sparkSide = build.level(3).select(col("v"), col("tc"), col("cnt").cast("long") as "cnt")
+      val sparkSide = levelDF(build, 3)
       Oracle.assertEquivalent(
         sparkSide,
         "SELECT CAST(v AS BIGINT) AS v, CAST(tc AS BIGINT) AS tc, CAST(cnt AS BIGINT) AS cnt FROM ref",
@@ -254,9 +265,9 @@ class BuildUpSparkSpec extends SparkSpec {
       val cc = BaselineCC.run(spark, edges, colorsDF, k)
       try {
         for (h <- 1 to k) {
-          val m = motivo.level(h).collect()
-            .map(r => (r.getLong(0), r.getLong(1)) -> BigInt(r.getDecimal(2).toBigInteger))
-            .toMap
+          val m = motivo.state.flatMap { case (v, s) =>
+            s.c(h).toMap.map { case (tc, n) => (v.toLong, tc) -> n }
+          }.collect().toMap
           val c = cc.level(h).collect().map { r =>
             val t = BaselineCC.decode(r.getString(1))
             val code = ccToCode(t.shape)
@@ -302,11 +313,10 @@ class BuildUpSparkSpec extends SparkSpec {
     val k = 4
     val build = BuildUp.runLocalGraph(spark, g, Coloring.uniform(k, seed = 13))
     try {
+      // every level lives in the one state RDD
       val shufflePartitions = spark.conf.get("spark.sql.shuffle.partitions").toInt
-      for (h <- 1 to k) {
-        val parts = build.level(h).rdd.getNumPartitions
-        assert(parts < shufflePartitions, s"h=$h: $parts partitions")
-      }
+      val parts = build.state.getNumPartitions
+      assert(parts < shufflePartitions, s"$parts partitions")
     } finally build.unpersist()
   }
 
@@ -318,8 +328,9 @@ class BuildUpSparkSpec extends SparkSpec {
     assert(cached -- before == Set.empty, "runSparkBuild left cached tables")
     Motivo.runSparkFull(spark, g, k = 3, budget = 64, cbar = 10)
     assert(cached -- before == Set.empty, "runSparkFull left cached tables")
-    val edgeless = Generators.er(20, 0, seed = 85) // an empty urn: sampling throws
-    intercept[IllegalArgumentException](Motivo.runSparkFull(spark, edgeless, k = 3, budget = 64))
-    assert(cached -- before == Set.empty, "a failed runSparkFull left cached tables")
+    val edgeless = Generators.er(20, 0, seed = 85) // an empty urn
+    val empty = Motivo.runSparkFull(spark, edgeless, k = 3, budget = 64)
+    assert(empty.totalTreelets == 0 && empty.naiveCounts.isEmpty && empty.agsCounts.isEmpty)
+    assert(cached -- before == Set.empty, "runSparkFull on an empty urn left cached tables")
   }
 }

@@ -101,4 +101,26 @@ class DistSamplerSpec extends SparkSpec {
       }
     } finally { sampler.close(); build.unpersist() }
   }
+
+  test("a seed gives the same codes on 1 and 7 arc partitions") {
+    val g = Generators.er(30, 85, seed = 96)
+    val k = 4
+    val coloring = Coloring.uniform(k, seed = 7)
+    def codes(parts: Int): (Seq[Long], Seq[Long]) = {
+      val arcs = spark.sparkContext.parallelize(g.arcs.toSeq, parts)
+      val build = BuildUp.run(spark, arcs, g.n, v => coloring.colorOf(v.toLong), k)
+      val sampler = new DistSampler(spark, build,
+        Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed = 8)
+      try {
+        assert(build.state.getNumPartitions == parts)
+        val shape = sampler.totalsByShape.maxBy { case (j, t) => (t, j) }._1
+        (sampler.sampleBatch(None, 200), sampler.sampleBatch(Some(shape), 200))
+      } finally { sampler.close(); build.unpersist() }
+    }
+    val (free1, shaped1) = codes(1)
+    val (free7, shaped7) = codes(7)
+    assert(free1.distinct.size > 1)
+    assert(free1 == free7)
+    assert(shaped1 == shaped7)
+  }
 }
