@@ -34,6 +34,9 @@ final case class Coloring(k: Int, lambda: Double, seed: Long) {
     if (u < (k - 1) * lambda) (u / lambda).toInt.min(k - 2) else k - 1
   }
 
+  /** The colors of the vertices 0..n−1, as the engines take them. */
+  def colors(n: Int): Array[Int] = Array.tabulate(n)(v => colorOf(v.toLong))
+
   private def uniformOf(v: Long): Double = {
     var z = v + seed * 0x9E3779B97F4A7C15L + 0x9E3779B97F4A7C15L
     z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L

@@ -33,10 +33,13 @@ trait ShapeSampling {
   * Deviations from the listing, documented in DESIGN.md: samples are drawn
   * in batches of `batch` (throughput; the paper notes j* only changes when
   * coverage changes, Appendix C), and the loop stops on a sample budget or
-  * when every shape is ≥ `saturation` covered (the listing's |C| = s never
+  * when every shape is ≥ `Saturation` covered (the listing's |C| = s never
   * happens when some graphlets have zero copies).
   */
 object AGS {
+
+  /** The covered share of every shape's mass at which AGS stops early. */
+  private val Saturation = 0.9999
 
   final case class AGSResult(
       hits: Map[Long, Long],          // canonical code -> c_i
@@ -54,9 +57,8 @@ object AGS {
   def run(sampler: ShapeSampling,
           budget: Long,
           cbar: Int = 1000,
-          batch: Int = 256,
-          saturation: Double = 0.9999,
-          verbose: Boolean = false): AGSResult = {
+          batch: Int = 256): AGSResult = {
+    require(batch >= 1, s"batch=$batch must be ≥ 1")
     val k = sampler.k
     val r = sampler.totalsByShape.filter(_._2 > 0)
     require(r.nonEmpty, "urn is empty")
@@ -108,10 +110,8 @@ object AGS {
       if (newlyCovered) {
         val p = coveredProbs()
         current = shapes(shapes.indices.minBy(x => (p(x), -r(shapes(x)))))
-        if (verbose)
-          Console.err.println(s"[AGS] covered=${covered.size} taken=$taken -> shape ${Integer.toHexString(current)}")
         // Saturation stop: every shape's mass is (estimated) almost all covered.
-        if (p.forall(_ >= saturation)) done = true
+        if (p.forall(_ >= Saturation)) done = true
       }
     }
 
@@ -124,6 +124,7 @@ object AGS {
     * estimator (§2.2) applied by [[Estimators.naiveCounts]].
     */
   def naive(sampler: ShapeSampling, budget: Long, batch: Int = 1024): Map[Long, Long] = {
+    require(batch >= 1, s"batch=$batch must be ≥ 1")
     val hits = mutable.HashMap.empty[Long, Long].withDefaultValue(0L)
     var taken = 0L
     while (taken < budget) {

@@ -65,9 +65,8 @@ object BaselineCC {
     def unpersist(): Unit = levels.foreach(_.unpersist())
   }
 
-  def run(spark: SparkSession, edges: DataFrame, colors: DataFrame, k: Int,
-          zeroRoot: Boolean = true,
-          storage: StorageLevel = StorageLevel.MEMORY_AND_DISK): Result = {
+  /** Run the DP, level k 0-rooted (§3.2) as in [[BuildUp]]. */
+  def run(spark: SparkSession, edges: DataFrame, colors: DataFrame, k: Int): Result = {
     require(k >= 2 && k <= 8)
     val singletonUdf = udf((c: Int) => encode(CCTreelet.singleton(c)))
     val e = edges.select(col("src").cast(LongType), col("dst").cast(LongType))
@@ -76,7 +75,7 @@ object BaselineCC {
       .select(col("v").cast(LongType) as "v",
               singletonUdf(col("col")) as "tc",
               lit(1L) as "cnt")
-      .persist(storage)
+      .persist(StorageLevel.MEMORY_AND_DISK)
     val zeroRoots = colors.where(col("col") === 0).select(col("v").cast(LongType) as "v")
 
     val levels = mutable.ArrayBuffer[DataFrame](level1)
@@ -84,7 +83,7 @@ object BaselineCC {
       val parts = (1 until h).map { h2 =>
         val h1 = h - h2
         val leftBase = levels(h1 - 1)
-        val left0 = if (zeroRoot && h == k) leftBase.join(zeroRoots, "v") else leftBase
+        val left0 = if (h == k) leftBase.join(zeroRoots, "v") else leftBase
         val left = left0.select(col("v") as "lv", col("tc") as "ltc", col("cnt") as "lcnt")
         val right = levels(h2 - 1).select(col("v") as "rv", col("tc") as "rtc", col("cnt") as "rcnt")
         left
@@ -101,7 +100,7 @@ object BaselineCC {
         .agg(sum(col("w")) as "s")
         .withColumn("beta", betaUdf(col("tc")))
         .selectExpr("v", "tc", "s DIV beta AS cnt") // exact integral division
-        .persist(storage)
+        .persist(StorageLevel.MEMORY_AND_DISK)
       levels += lvl
     }
     levels.foreach(_.count())

@@ -69,14 +69,14 @@ object BaselineLocal {
       tables(k).iterator.flatMap(_.valuesIterator).foldLeft(BigInt(0))(_ + _)
   }
 
-  def buildUp(g: LocalGraph, colors: Array[Int], k: Int, zeroRoot: Boolean = true): Result = {
+  /** Run the DP, level k 0-rooted (§3.2) as in [[LocalEngine]]. */
+  def buildUp(g: LocalGraph, colors: Array[Int], k: Int): Result = {
     val tables = new Array[Level](k + 1)
     tables(1) = Array.fill(g.n)(mutable.HashMap.empty[CCTreelet, Long])
     for (v <- 0 until g.n) tables(1)(v)(CCTreelet.singleton(colors(v))) = 1L
     for (h <- 2 to k) {
       val lvl: Level = Array.fill(g.n)(mutable.HashMap.empty[CCTreelet, Long])
-      val restrict = zeroRoot && h == k
-      for (v <- 0 until g.n if !restrict || colors(v) == 0) {
+      for (v <- 0 until g.n if h < k || colors(v) == 0) {
         val out = lvl(v)
         for (h2 <- 1 until h) {
           val h1 = h - h2

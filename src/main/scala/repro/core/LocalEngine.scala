@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import scala.collection.mutable
 
 /** The build-up phase in memory: a parallel loop over vertices that runs
   * the Eq. (1) kernel ([[TreeletRecord.eq1]]) at each, as [[BuildUp]] does
@@ -67,22 +66,5 @@ object LocalEngine {
       tables(h) = lvl
     }
     Result(g, colors, k, zeroRoot, tables)
-  }
-
-  /** Exact number of colorful *graphlet* copies per canonical code, by
-    * enumerating connected induced k-subgraphs (ESU) and filtering for
-    * distinct colors. Ground truth for the sampling estimators; only
-    * feasible on small graphs.
-    */
-  def exactColorfulGraphletCounts(g: LocalGraph, colors: Array[Int], k: Int): Map[Long, BigInt] = {
-    val acc = mutable.HashMap.empty[Long, BigInt]
-    ExactCount.foreachConnectedSubset(g, k) { verts =>
-      val mask = verts.foldLeft(0)((m, v) => m | (1 << colors(v)))
-      if (Integer.bitCount(mask) == k) {
-        val code = repro.graphlet.Graphlet.canonical(LocalGraph.inducedAdj(g, verts))
-        acc(code) = acc.getOrElse(code, BigInt(0)) + 1
-      }
-    }
-    acc.toMap
   }
 }

@@ -9,6 +9,10 @@ import scala.util.Random
 /** End-to-end orchestration: build the urn, sample, estimate — the API the
   * jobs and benches drive.
   *
+  * Every query colors the graph from (k, λ, seed), builds the urn (Eq. 1)
+  * and samples it, naive then AGS; the entry points differ in the engine
+  * that builds and the backend that samples.
+  *
   * Two sampling backends share the [[ShapeSampling]] interface:
   * - [[LocalShapeSampler]], the in-memory Motivo table (alias + binary
   *   search + neighbor buffering) fed by either the Spark or the local DP,
@@ -55,7 +59,7 @@ object Motivo {
       coloring: Coloring,
       totalTreelets: BigInt,
       naiveHits: Option[Map[Long, Long]],
-      naiveSamples: Long,
+      naiveSamples: Long, // drawn: 0 without naive sampling or on an empty urn
       ags: Option[AGS.AGSResult]) {
 
     def naiveCounts: Map[Long, Double] = naiveHits match {
@@ -69,78 +73,72 @@ object Motivo {
   }
 
   /** Build on Spark, sample locally (the paper's single-machine sampling
-    * rates), with both naive and AGS estimates.
+    * rates), with both naive and AGS estimates. The build is released once
+    * its records are on the driver.
     */
   def runSparkBuild(spark: SparkSession, g: LocalGraph, k: Int,
                     budget: Long, seed: Long = 7,
                     lambda: Option[Double] = None,
                     cbar: Int = 1000,
                     doNaive: Boolean = true, doAGS: Boolean = true): Run = {
-    checkSampling(budget, cbar)
-    val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
-    val build = BuildUp.runLocalGraph(spark, g, coloring)
-    try {
-      val colors = Array.tabulate(g.n)(v => coloring.colorOf(v.toLong))
-      val local = build.toLocalResult(g, colors)
-      runFromLocalResult(local, coloring, budget, seed, cbar, doNaive, doAGS)
-    } finally build.unpersist()
+    val q = new Query(k, budget, seed, lambda, cbar, doNaive, doAGS)
+    val build = BuildUp.runLocalGraph(spark, g, q.coloring)
+    val local = try build.toLocalResult(g, q.coloring.colors(g.n)) finally build.unpersist()
+    q.sampleLocal(local)
   }
 
   /** Pure in-memory run (no Spark) — micro-benches and tests. */
   def runLocal(g: LocalGraph, k: Int, budget: Long, seed: Long = 7,
                lambda: Option[Double] = None, cbar: Int = 1000,
                doNaive: Boolean = true, doAGS: Boolean = true): Run = {
-    checkSampling(budget, cbar)
-    val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
-    val colors = Array.tabulate(g.n)(v => coloring.colorOf(v.toLong))
-    val local = LocalEngine.buildUp(g, colors, k)
-    runFromLocalResult(local, coloring, budget, seed, cbar, doNaive, doAGS)
+    val q = new Query(k, budget, seed, lambda, cbar, doNaive, doAGS)
+    q.sampleLocal(LocalEngine.buildUp(g, q.coloring.colors(g.n), k))
   }
 
-  private def checkSampling(budget: Long, cbar: Int): Unit = {
-    require(budget >= 0, s"budget=$budget must be ≥ 0")
-    require(cbar >= 1, s"cbar=$cbar must be ≥ 1")
-  }
-
-  /** Samples the local table; an empty urn (no colorful k-treelet) has the
-    * answer zero for every graphlet, and draws no sample.
-    */
-  private def runFromLocalResult(local: LocalEngine.Result, coloring: Coloring,
-                                 budget: Long, seed: Long, cbar: Int,
-                                 doNaive: Boolean, doAGS: Boolean): Run = {
-    val table = MotivoLocalTable.fromResult(local)
-    if (table.totalTreelets == 0)
-      return Run(local.k, coloring, BigInt(0), Option.when(doNaive)(Map.empty), 0L, None)
-    val naive =
-      if (doNaive) Some(AGS.naive(new LocalShapeSampler(table, seed + 1), budget))
-      else None
-    val ags =
-      if (doAGS) Some(AGS.run(new LocalShapeSampler(table, seed + 2), budget, cbar = cbar))
-      else None
-    Run(local.k, coloring, table.totalTreelets, naive, budget, ags)
-  }
-
-  /** Fully distributed run: Spark build-up + Spark sampler; an empty urn answers zero. */
+  /** Fully distributed run: Spark build-up + Spark sampler. */
   def runSparkFull(spark: SparkSession, g: LocalGraph, k: Int,
                    budget: Long, seed: Long = 7,
                    lambda: Option[Double] = None, cbar: Int = 1000,
                    doNaive: Boolean = true, doAGS: Boolean = true): Run = {
-    checkSampling(budget, cbar)
-    val coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
-    val build = BuildUp.runLocalGraph(spark, g, coloring)
+    val q = new Query(k, budget, seed, lambda, cbar, doNaive, doAGS)
+    val build = BuildUp.runLocalGraph(spark, g, q.coloring)
     try {
-      if (build.totalTreelets == 0)
-        return Run(k, coloring, BigInt(0), Option.when(doNaive)(Map.empty), 0L, None)
       val sampler = new DistSampler(spark, build,
         Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed)
-      try {
-        val naive =
-          if (doNaive) Some(AGS.naive(sampler, budget, batch = math.min(budget, 2048L).toInt))
-          else None
-        val ags = if (doAGS) Some(AGS.run(sampler, budget, cbar = cbar,
-          batch = math.min(budget, 1024L).toInt)) else None
-        Run(k, coloring, build.totalTreelets, naive, budget, ags)
-      } finally sampler.close()
+      // a Spark batch is one job, so its batches are larger
+      try q.sample(build.totalTreelets, sampler, sampler, naiveBatch = 2048, agsBatch = 1024)
+      finally sampler.close()
     } finally build.unpersist()
+  }
+
+  /** One count query, checked before any build: its coloring, and the
+    * sampling step every engine ends with.
+    */
+  private final class Query(k: Int, budget: Long, seed: Long, lambda: Option[Double],
+                            cbar: Int, doNaive: Boolean, doAGS: Boolean) {
+    require(k >= 2 && k <= 8, s"k=$k out of [2,8]")
+    require(budget >= 0, s"budget=$budget must be ≥ 0")
+    require(cbar >= 1, s"cbar=$cbar must be ≥ 1")
+    val coloring: Coloring = lambda.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed))
+
+    /** Naive sampling, then AGS. The batch sizes are constants of each
+      * engine: they decide which draws each sample gets. An empty urn (no
+      * colorful k-treelet) answers zero for every graphlet and draws nothing.
+      */
+    def sample(total: BigInt, naiveUrn: ShapeSampling, agsUrn: ShapeSampling,
+               naiveBatch: Int, agsBatch: Int): Run =
+      if (total == 0) Run(k, coloring, total, Option.when(doNaive)(Map.empty), 0L, None)
+      else {
+        val naive = Option.when(doNaive)(AGS.naive(naiveUrn, budget, naiveBatch))
+        val ags = Option.when(doAGS)(AGS.run(agsUrn, budget, cbar, agsBatch))
+        Run(k, coloring, total, naive, if (doNaive) budget else 0L, ags)
+      }
+
+    /** Samples the local table, one sampler stream per strategy. */
+    def sampleLocal(local: LocalEngine.Result): Run = {
+      val table = MotivoLocalTable.fromResult(local)
+      sample(table.totalTreelets, new LocalShapeSampler(table, seed + 1),
+        new LocalShapeSampler(table, seed + 2), naiveBatch = 1024, agsBatch = 256)
+    }
   }
 }

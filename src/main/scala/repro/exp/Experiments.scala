@@ -188,7 +188,7 @@ object Experiments {
     * each side's best of nine interleaved builds.
     */
   def zeroRootingImpact(g: LocalGraph, k: Int, seed: Long = 3): (Double, Double) = {
-    val colors = Array.tabulate(g.n)(v => Coloring.uniform(k, seed).colorOf(v.toLong))
+    val colors = Coloring.uniform(k, seed).colors(g.n)
     def build(zero: Boolean) = LocalEngine.buildUp(g, colors, k, zeroRoot = zero)
     bestTimes(9)(build(true), build(false))
   }
@@ -205,7 +205,7 @@ object Experiments {
     */
   def table3(configs: Seq[(String, LocalGraph, Int)], seed: Long = 4): Seq[SizeRow] = {
     configs.map { case (name, g, k) =>
-      val colors = Array.tabulate(g.n)(v => Coloring.uniform(k, seed).colorOf(v.toLong))
+      val colors = Coloring.uniform(k, seed).colors(g.n)
       val cc = BaselineLocal.buildUp(g, colors, k)
       val motivo = MotivoLocalTable.fromResult(LocalEngine.buildUp(g, colors, k))
       require(BaselineLocal.pairCount(cc) == motivo.pairCount)
@@ -241,7 +241,7 @@ object Experiments {
   def table4(configs: Seq[(String, LocalGraph, Int)], samples: Int = 20000,
              seed: Long = 5): Seq[SampleRow] = {
     configs.map { case (name, g, k) =>
-      val colors = Array.tabulate(g.n)(v => Coloring.uniform(k, seed).colorOf(v.toLong))
+      val colors = Coloring.uniform(k, seed).colors(g.n)
       val motivo = MotivoLocalTable.fromResult(LocalEngine.buildUp(g, colors, k))
       val rnd = new Random(seed)
       val cc = new BaselineLocal.Sampler(BaselineLocal.buildUp(g, colors, k), new Random(seed + 1))
@@ -258,7 +258,7 @@ object Experiments {
     */
   def bufferingImpact(g: LocalGraph, k: Int, samples: Int = 8000,
                       seed: Long = 6): (Double, Double) = {
-    val colors = Array.tabulate(g.n)(v => Coloring.uniform(k, seed).colorOf(v.toLong))
+    val colors = Coloring.uniform(k, seed).colors(g.n)
     val local = LocalEngine.buildUp(g, colors, k)
     def pass(threshold: Int): () => Unit = {
       val t = MotivoLocalTable.fromResult(local, bufferThreshold = threshold)
@@ -340,37 +340,31 @@ object Experiments {
                              p90AbsErr: Double)
 
   /** §3.4 biased coloring: build time + table size vs count-error growth.
-    * Each λ's first build is an untimed warm-up, and its table gives the
-    * row's pairs and errors. The row's build time is the best of five more
-    * builds, interleaved across the λs so that a slow phase of the JVM or
-    * the host does not land on one λ alone.
+    * Each λ's errors come from a [[Motivo.runSparkBuild]] query with naive
+    * sampling, which is also the untimed warm-up of its builds. The row's
+    * build time is the best of five more builds of the query's coloring,
+    * interleaved across the λs so that a slow phase of the JVM or the host
+    * does not land on one λ alone; its pairs are read from the first.
     */
   def table6(spark: SparkSession, g: LocalGraph, gName: String, k: Int,
              lambdas: Seq[Option[Double]], truth: Map[Long, Double],
              budget: Long = 40000, seed: Long = 8): Seq[BiasedRow] = {
-    val colorings = lambdas.map(_.map(Coloring(k, _, seed)).getOrElse(Coloring.uniform(k, seed)))
-    val tables = colorings.map { coloring =>
-      val build = BuildUp.runLocalGraph(spark, g, coloring)
-      val colors = Array.tabulate(g.n)(v => coloring.colorOf(v.toLong))
-      try (build.pairCounts.sum, MotivoLocalTable.fromResult(build.toLocalResult(g, colors)))
-      finally build.unpersist()
-    }
+    val runs = lambdas.map(l => Motivo.runSparkBuild(spark, g, k, budget, seed, l, doAGS = false))
     val secs = Array.fill(lambdas.size)(Double.PositiveInfinity)
-    for (_ <- 1 to 5; i <- colorings.indices) {
-      val (build, t) = timed(BuildUp.runLocalGraph(spark, g, colorings(i)))
-      build.unpersist()
+    val pairs = new Array[Long](lambdas.size)
+    for (pass <- 1 to 5; i <- runs.indices) {
+      val (build, t) = timed(BuildUp.runLocalGraph(spark, g, runs(i).coloring))
+      try { if (pass == 1) pairs(i) = build.pairCounts.sum } finally build.unpersist()
       secs(i) = secs(i) min t
     }
     lambdas.indices.map { i =>
-      val (pairs, table) = tables(i)
-      val hits = AGS.naive(new Motivo.LocalShapeSampler(table, seed + 3), budget)
-      val est = Estimators.naiveCounts(hits, budget, table.totalTreelets, k, colorings(i).pColorful)
+      val est = runs(i).naiveCounts
       val errs = truth.collect { case (code, c) if c > 0 =>
         math.abs(est.getOrElse(code, 0.0) - c) / c
       }.toSeq.sorted
       val med = if (errs.isEmpty) Double.NaN else errs(errs.size / 2)
       val p90 = if (errs.isEmpty) Double.NaN else errs((errs.size * 9) / 10 min (errs.size - 1))
-      BiasedRow(gName, k, lambdas(i).map(l => f"$l%.3f").getOrElse("uniform"), secs(i), pairs,
+      BiasedRow(gName, k, lambdas(i).map(l => f"$l%.3f").getOrElse("uniform"), secs(i), pairs(i),
         med, p90)
     }
   }

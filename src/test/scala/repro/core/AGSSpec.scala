@@ -24,7 +24,7 @@ class AGSSpec extends SparkSpec {
     val g = Generators.er(35, 100, seed = 101)
     val k = 4
     val colors = colorsFor(g, k, 1)
-    val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+    val exact = ColorfulCensus.counts(g, colors, k)
     val res = AGS.run(localSampler(g, colors, k, 2), budget = 60000, cbar = 400, batch = 500)
     for ((code, c) <- exact if c >= 5) {
       val est = res.colorfulEstimates.getOrElse(code, 0.0)
@@ -39,7 +39,7 @@ class AGSSpec extends SparkSpec {
     val g = Generators.er(35, 100, seed = 102)
     val k = 4
     val colors = colorsFor(g, k, 3)
-    val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+    val exact = ColorfulCensus.counts(g, colors, k)
     val r = LocalEngine.buildUp(g, colors, k)
     val hits = AGS.naive(localSampler(g, colors, k, 4), budget = 40000)
     val t = r.totalTreelets
@@ -62,7 +62,7 @@ class AGSSpec extends SparkSpec {
     val g = Generators.ringChords(40, 20, seed = 103)
     val k = 3
     val colors = colorsFor(g, k, 5)
-    val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+    val exact = ColorfulCensus.counts(g, colors, k)
     val sampler = localSampler(g, colors, k, 6)
     assert(sampler.totalsByShape.size == 1)
     val res = AGS.run(sampler, budget = 30000, cbar = 300, batch = 500)
@@ -190,30 +190,62 @@ class AGSSpec extends SparkSpec {
     val k = 4
     val sparkRun = Motivo.runSparkBuild(spark, g, k, budget = 2000, seed = 17, cbar = 100)
     val localRun = Motivo.runLocal(g, k, budget = 2000, seed = 17, cbar = 100)
-    assert(sparkRun.totalTreelets == localRun.totalTreelets)
+    // the same records, sampled with the same seeds and batches
+    assert(sparkRun == localRun)
   }
 
-  test("an empty urn answers zero on runLocal and runSparkBuild, drawing no sample") {
+  test("an empty urn answers zero on every entry point, drawing no sample") {
     val edgeless = Generators.er(20, 0, seed = 85)
-    for (run <- Seq(Motivo.runLocal(edgeless, k = 3, budget = 64),
-                    Motivo.runSparkBuild(spark, edgeless, k = 3, budget = 64))) {
+    for (doNaive <- Seq(true, false);
+         run <- Seq(Motivo.runLocal(edgeless, k = 3, budget = 64, doNaive = doNaive),
+                    Motivo.runSparkBuild(spark, edgeless, k = 3, budget = 64, doNaive = doNaive),
+                    Motivo.runSparkFull(spark, edgeless, k = 3, budget = 64, doNaive = doNaive))) {
       assert(run.totalTreelets == 0)
       assert(run.naiveSamples == 0)
+      assert(run.naiveHits == Option.when(doNaive)(Map.empty) && run.ags.isEmpty)
       assert(run.naiveCounts.isEmpty && run.agsCounts.isEmpty)
     }
   }
 
-  test("every entry point rejects a negative budget") {
-    val g = Generators.er(20, 40, seed = 86)
-    intercept[IllegalArgumentException](Motivo.runLocal(g, k = 3, budget = -1))
-    intercept[IllegalArgumentException](Motivo.runSparkBuild(spark, g, k = 3, budget = -1))
-    intercept[IllegalArgumentException](Motivo.runSparkFull(spark, g, k = 3, budget = -1))
+  test("AGS.naive and AGS.run reject a batch below 1") {
+    val g = Generators.er(30, 80, seed = 89)
+    val k = 3
+    val sampler = localSampler(g, colorsFor(g, k, 20), k, 21)
+    for (b <- Seq(0, -1)) {
+      intercept[IllegalArgumentException](AGS.naive(sampler, budget = 10, batch = b))
+      intercept[IllegalArgumentException](AGS.run(sampler, budget = 10, batch = b))
+    }
   }
 
-  test("every entry point rejects cbar < 1") {
-    val g = Generators.er(20, 40, seed = 87)
-    intercept[IllegalArgumentException](Motivo.runLocal(g, k = 3, budget = 64, cbar = 0))
-    intercept[IllegalArgumentException](Motivo.runSparkBuild(spark, g, k = 3, budget = 64, cbar = 0))
-    intercept[IllegalArgumentException](Motivo.runSparkFull(spark, g, k = 3, budget = 64, cbar = 0))
+  test("every entry point rejects bad input before any Spark job") {
+    val g = Generators.er(20, 40, seed = 86)
+    val sc = spark.sparkContext
+    // (what, k, budget, lambda, cbar)
+    val bad = Seq(
+      ("a negative budget", 3, -1L, None, 1000),
+      ("cbar < 1", 3, 64L, None, 0),
+      ("k = 1", 1, 64L, None, 1000),
+      ("k = 9", 9, 64L, None, 1000),
+      ("an invalid lambda", 3, 64L, Some(0.6), 1000))
+    sc.setJobGroup("rejected", "queries with bad input")
+    try {
+      for ((what, k, budget, lambda, cbar) <- bad) withClue(s"$what: ") {
+        intercept[IllegalArgumentException](
+          Motivo.runLocal(g, k, budget, lambda = lambda, cbar = cbar))
+        intercept[IllegalArgumentException](
+          Motivo.runSparkBuild(spark, g, k, budget, lambda = lambda, cbar = cbar))
+        intercept[IllegalArgumentException](
+          Motivo.runSparkFull(spark, g, k, budget, lambda = lambda, cbar = cbar))
+      }
+      // The status tracker sees jobs in the order they start, so once a
+      // later marker job shows up, any job a rejected query started has too.
+      sc.setJobGroup("marker", "after the rejected queries")
+      sc.parallelize(Seq(1)).count()
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (sc.statusTracker.getJobIdsForGroup("marker").isEmpty && System.nanoTime() < deadline)
+        Thread.sleep(20)
+      assert(sc.statusTracker.getJobIdsForGroup("marker").nonEmpty, "the marker job never showed")
+      assert(sc.statusTracker.getJobIdsForGroup("rejected").isEmpty)
+    } finally sc.clearJobGroup()
   }
 }

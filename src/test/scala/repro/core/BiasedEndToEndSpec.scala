@@ -30,6 +30,7 @@ class BiasedEndToEndSpec extends SparkSpec {
     val truth = ExactCount.census(g, k).map { case (c, n) => c -> n.toDouble }
     val run = Motivo.runLocal(g, k, budget = 40000, seed = 7, lambda = Some(0.15),
       cbar = 400, doNaive = false)
+    assert(run.naiveSamples == 0)
     val est = run.agsCounts
     for ((code, c) <- truth if c >= 3000) {
       val e = est.getOrElse(code, 0.0)

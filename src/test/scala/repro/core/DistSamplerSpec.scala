@@ -50,7 +50,7 @@ class DistSamplerSpec extends SparkSpec {
     val (coloring, build, sampler) = setup(g, k, 3)
     try {
       val colors = Array.tabulate(g.n)(v => coloring.colorOf(v.toLong))
-      val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+      val exact = ColorfulCensus.counts(g, colors, k)
       val tt = build.totalTreelets.toDouble
       val n = 3000
       val codes = (1 to 6).flatMap(_ => sampler.sampleBatch(None, n / 6))

@@ -146,7 +146,7 @@ class LocalEngineSpec extends SparkSpec {
     val g = Generators.ringChords(16, 10, seed = 39)
     val k = 4
     val colors = colorsFor(g, k, seed = 8)
-    val viaEsu = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+    val viaEsu = ColorfulCensus.counts(g, colors, k)
     // independent path: brute-force all subsets
     val acc = collection.mutable.HashMap.empty[Long, BigInt].withDefaultValue(BigInt(0))
     val idx = (0 until g.n).combinations(k)
@@ -166,7 +166,7 @@ class LocalEngineSpec extends SparkSpec {
     for (k <- 3 to 4) {
       val colors = colorsFor(g, k, seed = 30 + k)
       val r = LocalEngine.buildUp(g, colors, k)
-      val gc = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+      val gc = ColorfulCensus.counts(g, colors, k)
       val viaGraphlets = gc.map { case (code, c) => c * SpanningTrees.sigma(code, k) }
         .foldLeft(BigInt(0))(_ + _)
       assert(viaGraphlets == r.totalTreelets, s"k=$k")

@@ -15,7 +15,7 @@ class MotivoSparkFullSpec extends SparkSpec {
     val run = Motivo.runSparkFull(spark, g, k, budget = 1500, seed = 4, cbar = 100,
       doAGS = false)
     val naive = run.naiveCounts
-    assert(naive.nonEmpty)
+    assert(naive.nonEmpty && run.naiveSamples == 1500)
     // k=3: two graphlets (path, triangle); frequent ones within 50%
     for ((code, c) <- truth if c >= 200) {
       val est = naive.getOrElse(code, 0.0)
@@ -29,6 +29,7 @@ class MotivoSparkFullSpec extends SparkSpec {
     val k = 4
     val run = Motivo.runSparkFull(spark, g, k, budget = 1200, seed = 5, cbar = 50,
       doNaive = false)
+    assert(run.naiveHits.isEmpty && run.naiveSamples == 0)
     val ags = run.ags.get
     assert(ags.samplesTaken > 0)
     assert(ags.hits.nonEmpty)

@@ -124,7 +124,7 @@ class TableSpec extends SparkSpec {
     val k = 4
     val colors = colorsFor(g, k, 7)
     val t = MotivoLocalTable.fromResult(LocalEngine.buildUp(g, colors, k))
-    val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+    val exact = ColorfulCensus.counts(g, colors, k)
     val tt = t.totalTreelets.toDouble
     val rnd = new Random(8)
     val n = 30000
@@ -144,7 +144,7 @@ class TableSpec extends SparkSpec {
     val colors = colorsFor(g, k, 7)
     val ref = LocalEngine.buildUp(g, colors, k)
     val cc = BaselineLocal.buildUp(g, colors, k)
-    val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+    val exact = ColorfulCensus.counts(g, colors, k)
     val tt = ref.totalTreelets.toDouble
     val s = new BaselineLocal.Sampler(cc, new Random(9))
     val n = 30000
@@ -165,7 +165,7 @@ class TableSpec extends SparkSpec {
     for (k <- 3 to 4) {
       val colors = colorsFor(g, k, 10)
       val r = LocalEngine.buildUp(g, colors, k)
-      val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+      val exact = ColorfulCensus.counts(g, colors, k)
       // low threshold forces buffering on the hub
       val t = MotivoLocalTable.fromResult(r, bufferThreshold = 10)
       val cases: Seq[(Option[Int], Double)] =
@@ -225,7 +225,7 @@ class TableSpec extends SparkSpec {
     val k = 4
     val colors = colorsFor(g, k, 14)
     val t = MotivoLocalTable.fromResult(LocalEngine.buildUp(g, colors, k))
-    val exact = LocalEngine.exactColorfulGraphletCounts(g, colors, k)
+    val exact = ColorfulCensus.counts(g, colors, k)
     val rnd = new Random(15)
     for ((shape, rj) <- t.totalsByShape if rj > 0) {
       // P[H_i | shape] = c_i σ_ij / r_j
