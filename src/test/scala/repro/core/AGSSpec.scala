@@ -217,35 +217,38 @@ class AGSSpec extends SparkSpec {
     }
   }
 
-  test("every entry point rejects bad input before any Spark job") {
-    val g = Generators.er(20, 40, seed = 86)
-    val sc = spark.sparkContext
-    // (what, k, budget, lambda, cbar)
-    val bad = Seq(
-      ("a negative budget", 3, -1L, None, 1000),
-      ("cbar < 1", 3, 64L, None, 0),
-      ("k = 1", 1, 64L, None, 1000),
-      ("k = 9", 9, 64L, None, 1000),
-      ("an invalid lambda", 3, 64L, Some(0.6), 1000))
-    sc.setJobGroup("rejected", "queries with bad input")
-    try {
-      for ((what, k, budget, lambda, cbar) <- bad) withClue(s"$what: ") {
+  // One check over the three entry points, one test per bad input:
+  // (what, k, budget, lambda, cbar)
+  private val badInputs = Seq(
+    ("a negative budget", 3, -1L, None, 1000),
+    ("cbar < 1", 3, 64L, None, 0),
+    ("k = 1", 1, 64L, None, 1000),
+    ("k = 9", 9, 64L, None, 1000),
+    ("an invalid lambda", 3, 64L, Some(0.6), 1000))
+
+  for ((what, k, budget, lambda, cbar) <- badInputs)
+    test(s"every entry point rejects $what") {
+      val g = Generators.er(20, 40, seed = 86)
+      val sc = spark.sparkContext
+      val rejected = s"rejected: $what"
+      val marker = s"marker: $what"
+      sc.setJobGroup(rejected, "a query with bad input")
+      try {
         intercept[IllegalArgumentException](
           Motivo.runLocal(g, k, budget, lambda = lambda, cbar = cbar))
         intercept[IllegalArgumentException](
           Motivo.runSparkBuild(spark, g, k, budget, lambda = lambda, cbar = cbar))
         intercept[IllegalArgumentException](
           Motivo.runSparkFull(spark, g, k, budget, lambda = lambda, cbar = cbar))
-      }
-      // The status tracker sees jobs in the order they start, so once a
-      // later marker job shows up, any job a rejected query started has too.
-      sc.setJobGroup("marker", "after the rejected queries")
-      sc.parallelize(Seq(1)).count()
-      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-      while (sc.statusTracker.getJobIdsForGroup("marker").isEmpty && System.nanoTime() < deadline)
-        Thread.sleep(20)
-      assert(sc.statusTracker.getJobIdsForGroup("marker").nonEmpty, "the marker job never showed")
-      assert(sc.statusTracker.getJobIdsForGroup("rejected").isEmpty)
-    } finally sc.clearJobGroup()
-  }
+        // The status tracker sees jobs in the order they start, so once a
+        // later marker job shows up, any job a rejected query started has too.
+        sc.setJobGroup(marker, "after the rejected query")
+        sc.parallelize(Seq(1)).count()
+        val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+        while (sc.statusTracker.getJobIdsForGroup(marker).isEmpty && System.nanoTime() < deadline)
+          Thread.sleep(20)
+        assert(sc.statusTracker.getJobIdsForGroup(marker).nonEmpty, "the marker job never showed")
+        assert(sc.statusTracker.getJobIdsForGroup(rejected).isEmpty)
+      } finally sc.clearJobGroup()
+    }
 }
