@@ -18,7 +18,9 @@ import scala.collection.mutable
   * Every further level h takes one shuffle: every vertex u sends
   * c_{h−1}(u) to its neighbors, and `reduceByKey` sums the records into
   * N_{h−1}(v). A narrow step then runs the kernel [[LocalEngine]] runs too
-  * ([[TreeletRecord.eq1]]) on v's own records and its neighbor sums.
+  * ([[TreeletRecord.eq1]]) on v's own records and its neighbor sums. The
+  * final state keeps each vertex's records and sorted neighbors, which is all
+  * [[DistSampler]] reads.
   *
   * Fidelity notes:
   * - counts are unsigned 128-bit, as the paper's counters;
@@ -32,14 +34,14 @@ object BuildUp {
 
   private val Storage = StorageLevel.MEMORY_AND_DISK
 
-  /** One vertex between levels: `c(h)` is c_h(v) and `n(h)` is N_h(v) for
-    * the sizes built so far; slot 0 is unused. After level k only `c` is
-    * kept.
+  /** One vertex between levels: its neighbors, ascending, and `c(h)` is
+    * c_h(v) and `n(h)` is N_h(v) for the sizes built so far; slot 0 is
+    * unused. After level k the neighbor sums `n` are dropped.
     */
   private[core] final case class Vertex(color: Int, nbrs: Array[Int],
                                         c: Array[TreeletRecord], n: Array[TreeletRecord])
 
-  /** The build's final state: every vertex's records c_1(v) .. c_k(v), by vertex. */
+  /** The build's final state: each vertex's records c_1(v) .. c_k(v) and neighbors, by vertex. */
   final case class Result(k: Int, zeroRoot: Boolean, state: RDD[(Int, Vertex)]) {
 
     /** t: total number of colorful k-treelet copies (0-rooted ⇒ each once). */
@@ -82,11 +84,13 @@ object BuildUp {
     * each further level is one more shuffle. The state is partitioned by
     * vertex into as many partitions as `arcs` has.
     *
-    * Every arc end must be in [0, n) and every color in [0, k); otherwise
-    * the job fails with the offending value in its message, and nothing
-    * stays persisted.
+    * Checked: every arc end is in [0, n), every color in [0, k), and no arc
+    * repeats; otherwise the job fails with the offending value in its
+    * message, and nothing stays persisted. Assumed, as checking it costs a
+    * shuffle: the arcs are symmetric. A self-loop changes no count, as a
+    * record rooted at v holds v's color and so never merges with another.
     *
-    * @param arcs     both directions of every edge of a simple graph
+    * @param arcs     both directions of every edge, each arc once
     * @param n        the number of vertices, 0..n−1 (isolated ones included)
     * @param colorOf  the color of a vertex, in [0, k); every task calls it,
     *                 so no coloring is shuffled
@@ -122,14 +126,15 @@ object BuildUp {
       val ch =
         if (last && zeroRoot && s.color != 0) TreeletRecord.Empty
         else TreeletRecord.eq1(h, s.c(_), (h2, b) => b.addRecord(nh(h2)))
-      if (last) Vertex(s.color, Array.emptyIntArray, s.c :+ ch, Array.empty)
-      else Vertex(s.color, s.nbrs, s.c :+ ch, nh)
+      Vertex(s.color, s.nbrs, s.c :+ ch, if (last) Array.empty else nh)
     }
 
     // Levels 1 and 2: c_1(v) is v's singleton and N_1(v) sums the
     // neighbors' singletons, which are their colors.
     var state = keep(ends.groupByKey(part).mapPartitions(_.map { case (v, us) =>
-      val nbrs = us.iterator.filter(_ != Sentinel).toArray
+      val nbrs = us.iterator.filter(_ != Sentinel).toArray.sorted
+      for (i <- 1 until nbrs.length)
+        require(nbrs(i - 1) < nbrs(i), s"vertex $v lists neighbor ${nbrs(i)} twice: a repeated arc")
       val n1 = new TreeletRecord.Builder
       nbrs.foreach(u => n1.addRecord(TreeletRecord.singleton(color(u))))
       val c = color(v)

@@ -2,8 +2,8 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
+import repro.core.BuildUp.Vertex
 import repro.graphlet.Graphlet
 import repro.treelet.{ColoredTreelet, TreeletEnum}
 import scala.reflect.ClassTag
@@ -11,7 +11,8 @@ import scala.util.Random
 
 /** Distributed sampling phase (§2.2): each batch of samples advances
   * together through the multi-stage draw in one Spark job, over the
-  * build-up's own per-vertex records ([[BuildUp.Result.state]]).
+  * build-up's own per-vertex state ([[BuildUp.Result.state]]): each
+  * vertex's records and its sorted neighbors. The build is its only input.
   *
   *  1. Roots are drawn on the driver with the alias method over per-vertex
   *     totals, read once from the level-k records (per free shape for the
@@ -24,8 +25,9 @@ import scala.util.Random
   *     −ln(U) / (c(T'_{C'}, v)·c(T''_{C''}, u)) and the least bid wins, an
   *     exponential race that picks (split, u) ∝ c(T'_{C'}, v)·c(T''_{C''}, u).
   *     The halves pend at v and u in the next round.
-  *  4. The k vertices, slotted by color, are checked pairwise against
-  *     `edgePairs`, and the driver canonicalizes each induced graphlet.
+  *  4. The k vertices, slotted by color, are checked pairwise by binary
+  *     search in the lower end's neighbors, and the driver canonicalizes
+  *     each induced graphlet.
   *
   * Every step runs at its vertex's partition under the state's partitioner,
   * so the state never shuffles. Each uniform U on the executors is a hash of
@@ -35,30 +37,26 @@ import scala.util.Random
   */
 final class DistSampler(spark: SparkSession,
                         build: BuildUp.Result,
-                        edges: DataFrame,
-                        edgePairs: DataFrame,
-                        seed: Long = 12345L) extends ShapeSampling {
+                        seed: Long) extends ShapeSampling {
   import DistSampler._
+
+  /** The signature the benchmark still calls. The frames are not read: the
+    * neighbors come from the build. This constructor goes with the next
+    * change to the benchmark.
+    */
+  def this(spark: SparkSession, build: BuildUp.Result, edges: DataFrame, edgePairs: DataFrame,
+           seed: Long) = this(spark, build, seed)
 
   val k: Int = build.k
   private val part = build.state.partitioner.get
   private var batchNo = 0
 
-  /** One map per partition of the state, from its vertices to their
-    * records, neighbors (`edges`) and higher neighbors (`edgePairs`); it
-    * refers to the state's records and copies none.
+  /** One map per partition of the state, from its vertices to their state;
+    * it refers to the state's records and neighbors and copies none.
     */
-  private val shards: RDD[Map[Int, Node]] = {
-    def ends(pairs: DataFrame, a: String, b: String): RDD[(Int, Int)] =
-      pairs.select(col(a).cast("long"), col(b).cast("long")).rdd.map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-    val lowerEnds = ends(edgePairs, "a", "b").map { case (a, b) => (a min b, a max b) }
-    build.state.cogroup(ends(edges, "src", "dst"), lowerEnds, part).mapPartitions { it =>
-      Iterator(it.map { case (v, (s, nbrs, upper)) =>
-        require(s.nonEmpty, s"vertex $v of the edge lists is not in the build")
-        v -> Node(s.head.c, nbrs.toArray.sorted, upper.toArray.sorted)
-      }.toMap)
-    }.persist(StorageLevel.MEMORY_AND_DISK)
-  }
+  private val shards: RDD[Map[Int, Vertex]] =
+    build.state.mapPartitions(it => Iterator(it.toMap), preservesPartitioning = true)
+      .persist(StorageLevel.MEMORY_AND_DISK)
 
   /** (v, free shape, copies) of the level-k records, sorted so that the alias
     * tables do not depend on the partitioning; the job also fills `shards`.
@@ -117,7 +115,7 @@ final class DistSampler(spark: SparkSession,
           yield (at(i) min at(j)) -> (sid, at(i) max at(j), Graphlet.bit(i, j, kk))
       }.partitionBy(p)
     val edgeBits = atVertex(pairs, sh) { case (_, n, (sid, u, bit)) =>
-      if (java.util.Arrays.binarySearch(n.upper, u) >= 0) Iterator(sid -> bit) else Iterator.empty
+      if (java.util.Arrays.binarySearch(n.nbrs, u) >= 0) Iterator(sid -> bit) else Iterator.empty
     }.collect()
     val masks = new Array[Long](b)
     for ((sid, bit) <- edgeBits) masks(sid) |= bit
@@ -129,11 +127,6 @@ final class DistSampler(spark: SparkSession,
 }
 
 object DistSampler {
-
-  /** A vertex's records c_h (index h), its neighbors and its neighbors with a
-    * higher id, ascending.
-    */
-  private final case class Node(c: Array[TreeletRecord], nbrs: Array[Int], upper: Array[Int])
 
   /** Branch `bid` of sample `sid`: the colored treelet `ct` at the vertex it
     * is keyed by. Branch 1 is the root; branch b splits into 2b, which keeps
@@ -152,8 +145,8 @@ object DistSampler {
     Ordering.by((b: Bid) => (b.key, b.u, b.split))(Ordering.Tuple3(Ordering.Double.TotalOrdering, Ordering.Int, Ordering.Int))
 
   /** `f` at each keyed vertex, on the partition of `rdd` that holds it. */
-  private def atVertex[A, B: ClassTag](rdd: RDD[(Int, A)], shards: RDD[Map[Int, Node]])(
-      f: (Int, Node, A) => Iterator[B]): RDD[B] =
+  private def atVertex[A, B: ClassTag](rdd: RDD[(Int, A)], shards: RDD[Map[Int, Vertex]])(
+      f: (Int, Vertex, A) => Iterator[B]): RDD[B] =
     rdd.zipPartitions(shards) { (it, s) =>
       val nodes = s.next()
       it.flatMap { case (v, a) => f(v, nodes(v), a) }
@@ -171,7 +164,7 @@ object DistSampler {
   }
 
   /** A pending branch with c(T'_{C'}, v) of each split, to each neighbor. */
-  private def send(v: Int, n: Node, q: Pending): Iterator[(Int, Offer)] = {
+  private def send(v: Int, n: Vertex, q: Pending): Iterator[(Int, Offer)] = {
     val splits = ColoredTreelet.splitPairs(q.ct)
     val rec = n.c(ColoredTreelet.size(splits(0)))
     val w1 = Array.tabulate(splits.length / 2) { s =>
@@ -183,7 +176,7 @@ object DistSampler {
   }
 
   /** A neighbor u's best bid on an offer, keyed by (sample, branch). */
-  private def bids(seed: Long, batch: Int, round: Int)(u: Int, n: Node, o: Offer): Iterator[((Int, Int), Bid)] = {
+  private def bids(seed: Long, batch: Int, round: Int)(u: Int, n: Vertex, o: Offer): Iterator[((Int, Int), Bid)] = {
     val splits = ColoredTreelet.splitPairs(o.ct)
     val rec = n.c(ColoredTreelet.size(splits(1)))
     o.w1.indices.iterator.flatMap { s =>

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.color.Coloring
-import repro.graph.{Graphs, LocalGraph}
+import repro.graph.LocalGraph
 import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
@@ -103,8 +103,7 @@ object Motivo {
     val q = new Query(k, budget, seed, lambda, cbar, doNaive, doAGS)
     val build = BuildUp.runLocalGraph(spark, g, q.coloring)
     try {
-      val sampler = new DistSampler(spark, build,
-        Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed)
+      val sampler = new DistSampler(spark, build, seed)
       // a Spark batch is one job, so its batches are larger
       try q.sample(build.totalTreelets, sampler, sampler, naiveBatch = 2048, agsBatch = 1024)
       finally sampler.close()

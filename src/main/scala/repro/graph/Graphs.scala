@@ -2,13 +2,13 @@ package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-/** A [[LocalGraph]] as Spark tables, for the CC baseline's joins, the
-  * distributed sampler and the SQL oracles.
+/** A [[LocalGraph]] as Spark tables, for the CC baseline's joins and the
+  * SQL oracles.
   */
 object Graphs {
 
   /** Both orientations of every edge, (src: Long, dst: Long): the arcs "u ~ v"
-    * that the CC baseline joins and [[repro.core.DistSampler]] expands along.
+    * that the CC baseline joins.
     */
   def edgesDF(spark: SparkSession, g: LocalGraph): DataFrame = {
     import spark.implicits._
@@ -18,8 +18,8 @@ object Graphs {
     spark.createDataset(pairs).toDF("src", "dst")
   }
 
-  /** Undirected edge pairs (a < b), one row per edge — used by the induced
-    * subgraph step and by DuckDB oracle tables.
+  /** Undirected edge pairs (a < b), one row per edge, for DuckDB oracle
+    * tables.
     */
   def edgePairsDF(spark: SparkSession, g: LocalGraph): DataFrame = {
     import spark.implicits._

@@ -1,5 +1,7 @@
 package repro
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart,
+  SparkListenerStageCompleted}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -17,6 +19,38 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body`, which must run one Spark job, in a job group of its own;
+    * returns its result and the number of that job's stages that wrote
+    * shuffle output.
+    */
+  protected def withShuffleStages[A](body: => A): (A, Int) = {
+    val group = s"shuffle-stages-${System.nanoTime}"
+    val stages = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+    val shuffles = new java.util.concurrent.atomic.AtomicInteger
+    val ended = scala.concurrent.Promise[Unit]()
+    val jobs = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
+          jobs.add(e.jobId); e.stageIds.foreach(stages.add(_))
+        }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        if (stages.contains(e.stageInfo.stageId) &&
+            e.stageInfo.taskMetrics.shuffleWriteMetrics.recordsWritten > 0) shuffles.incrementAndGet()
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (jobs.contains(e.jobId)) ended.trySuccess(())
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "shuffle stage count")
+      val result = try body finally sc.clearJobGroup()
+      // events arrive in order, so a job's stages are in once its end is
+      scala.concurrent.Await.result(ended.future, scala.concurrent.duration.Duration(60, "s"))
+      (result, shuffles.get)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

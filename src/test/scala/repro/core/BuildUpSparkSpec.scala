@@ -2,8 +2,6 @@ package repro.core
 
 import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart,
-  SparkListenerStageCompleted}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
@@ -35,38 +33,6 @@ class BuildUpSparkSpec extends SparkSpec {
 
   private def arcs(g: LocalGraph): RDD[(Int, Int)] =
     spark.sparkContext.parallelize(g.arcs.toSeq, spark.sparkContext.defaultParallelism)
-
-  /** Runs `body`, which must run one Spark job, in a job group of its own;
-    * returns its result and the number of that job's stages that wrote
-    * shuffle output.
-    */
-  private def withShuffleStages[A](body: => A): (A, Int) = {
-    val group = s"shuffle-stages-${System.nanoTime}"
-    val stages = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
-    val shuffles = new java.util.concurrent.atomic.AtomicInteger
-    val ended = scala.concurrent.Promise[Unit]()
-    val jobs = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
-          jobs.add(e.jobId); e.stageIds.foreach(stages.add(_))
-        }
-      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
-        if (stages.contains(e.stageInfo.stageId) &&
-            e.stageInfo.taskMetrics.shuffleWriteMetrics.recordsWritten > 0) shuffles.incrementAndGet()
-      override def onJobEnd(e: SparkListenerJobEnd): Unit =
-        if (jobs.contains(e.jobId)) ended.trySuccess(())
-    }
-    val sc = spark.sparkContext
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup(group, "shuffle stage count")
-      val result = try body finally sc.clearJobGroup()
-      // events arrive in order, so a job's stages are in once its end is
-      scala.concurrent.Await.result(ended.future, scala.concurrent.duration.Duration(60, "s"))
-      (result, shuffles.get)
-    } finally sc.removeSparkListener(listener)
-  }
 
   test("Spark DP equals the reference DP exactly (k=3,4,5; several graphs)") {
     val graphs = Seq(
@@ -122,6 +88,9 @@ class BuildUpSparkSpec extends SparkSpec {
       .contains(s"vertex id ${g.n} is outside [0, ${g.n})"))
     assert(failure(arcs(g).union(sc.parallelize(Seq((0, -1)))), colorOf)
       .contains("vertex id -1 is outside"))
+    val (u, v) = g.arcs.next()
+    assert(failure(arcs(g).union(sc.parallelize(Seq((u, v)))), colorOf)
+      .contains(s"vertex $u lists neighbor $v twice"))
     assert(cached -- before == Set.empty, "a failed run left cached state")
   }
 

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.color.Coloring
-import repro.graph.{Generators, Graphs, LocalGraph}
+import repro.graph.{Generators, LocalGraph}
 import repro.graphlet.{Graphlet, SpanningTrees}
 
 /** Distributed sampler: structural validity and distributional agreement
@@ -13,8 +13,7 @@ class DistSamplerSpec extends SparkSpec {
   private def setup(g: LocalGraph, k: Int, seed: Long) = {
     val coloring = Coloring.uniform(k, seed)
     val build = BuildUp.runLocalGraph(spark, g, coloring)
-    val sampler = new DistSampler(spark, build,
-      Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed)
+    val sampler = new DistSampler(spark, build, seed)
     (coloring, build, sampler)
   }
 
@@ -102,6 +101,17 @@ class DistSamplerSpec extends SparkSpec {
     } finally { sampler.close(); build.unpersist() }
   }
 
+  test("DistSampler's set-up runs no shuffle stage") {
+    val g = Generators.er(30, 85, seed = 97)
+    val build = BuildUp.runLocalGraph(spark, g, Coloring.uniform(4, seed = 9))
+    try {
+      // the set-up reads the build's state where it is partitioned
+      val (sampler, shuffles) = withShuffleStages(new DistSampler(spark, build, seed = 10))
+      sampler.close()
+      assert(shuffles == 0)
+    } finally build.unpersist()
+  }
+
   test("a seed gives the same codes on 1 and 7 arc partitions") {
     val g = Generators.er(30, 85, seed = 96)
     val k = 4
@@ -109,8 +119,7 @@ class DistSamplerSpec extends SparkSpec {
     def codes(parts: Int): (Seq[Long], Seq[Long]) = {
       val arcs = spark.sparkContext.parallelize(g.arcs.toSeq, parts)
       val build = BuildUp.run(spark, arcs, g.n, v => coloring.colorOf(v.toLong), k)
-      val sampler = new DistSampler(spark, build,
-        Graphs.edgesDF(spark, g), Graphs.edgePairsDF(spark, g), seed = 8)
+      val sampler = new DistSampler(spark, build, seed = 8)
       try {
         assert(build.state.getNumPartitions == parts)
         val shape = sampler.totalsByShape.maxBy { case (j, t) => (t, j) }._1
