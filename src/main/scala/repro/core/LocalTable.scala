@@ -16,7 +16,8 @@ import scala.util.Random
   * method; large-degree neighbor sweeps are amortized per hub (§3.2
   * neighbor buffering): one sweep builds the hub's sparse neighbor
   * distribution for a treelet, and every later draw is a binary search in
-  * it. Sampling weights are the exact counts rounded to doubles.
+  * it; the hub's color-split weights for a treelet are cached the same
+  * way. Sampling weights are the exact counts rounded to doubles.
   *
   * The table is read-only after construction except for memo caches whose
   * values do not depend on which thread fills them, so concurrent
@@ -59,53 +60,79 @@ final class MotivoLocalTable(
     Alias(w)
   }
 
-  // Per-shape samplers (AGS rebuilds the alias per shape, §3.3), indexed by
-  // the shape's position in freeTrees(k); each is built on its first use.
-  private final class ShapeSlot(val shape: Int) {
-    lazy val sampler: ShapeSampler = buildShapeSampler(shape)
-  }
-  private val shapeSlots = TreeletEnum.freeTrees(k).toArray.map(new ShapeSlot(_))
+  // The free k-treelet shapes in unsigned order, the order of freeTrees(k).
+  private val freeShapes = TreeletEnum.freeTrees(k).toArray
 
   /** The level-k records filtered to codes of one free shape, flat: vertex
     * v's codes and their cumulative weights are `codes`/`cums` in
-    * [off(v), off(v + 1)).
+    * [off(v), off(v + 1)). AGS draws from one per shape (§3.3 rebuilds the
+    * alias per shape).
     */
   private final class ShapeSampler(val off: Array[Int], val codes: Array[Long],
                                    val cums: Array[Double], val alias: Option[Alias])
 
-  private def buildShapeSampler(shape: Int): ShapeSampler = {
-    val off = new Array[Int](g.n + 1)
-    val totals = new Array[Double](g.n)
-    val kb = new mutable.ArrayBuilder.ofLong
-    val cb = new mutable.ArrayBuilder.ofDouble
+  /** Every shape's sampler, indexed like `freeShapes`, from one pass over
+    * the level-k records on the first restricted draw. Codes sort by rooted
+    * shape, so a record's codes of one rooted shape are a run, and each run
+    * looks up its free shape once.
+    */
+  private lazy val shapeSamplers: Array[ShapeSampler] = {
+    val rooted = TreeletEnum.rootedTrees(k).toArray
+    val freeOf = rooted.map(t => unsignedIndex(freeShapes, TreeletEnum.freeShape(t)))
+    val s = freeShapes.length
+    val offs = Array.fill(s)(new Array[Int](g.n + 1))
+    val totals = Array.fill(s)(new Array[Double](g.n))
+    val kbs = Array.fill(s)(new mutable.ArrayBuilder.ofLong)
+    val cbs = Array.fill(s)(new mutable.ArrayBuilder.ofDouble)
+    val acc = new Array[Double](s)
     for (v <- 0 until g.n) {
       val rec = tables(k)(v)
-      var acc = 0.0
+      java.util.Arrays.fill(acc, 0.0)
       var i = 0
+      var runShape = 0; var j = -1
       while (i < rec.size) {
-        if (TreeletEnum.freeShape(ColoredTreelet.shape(rec.codes(i))) == shape) {
-          acc += rec.weight(i)
-          kb += rec.codes(i); cb += acc
+        val sh = ColoredTreelet.shape(rec.codes(i))
+        if (j < 0 || sh != runShape) {
+          runShape = sh
+          j = freeOf(unsignedIndex(rooted, sh))
         }
+        acc(j) += rec.weight(i)
+        kbs(j) += rec.codes(i); cbs(j) += acc(j)
         i += 1
       }
-      off(v + 1) = kb.length; totals(v) = acc
+      for (x <- 0 until s) { offs(x)(v + 1) = kbs(x).length; totals(x)(v) = acc(x) }
     }
-    val alias = if (totals.exists(_ > 0)) Some(Alias(totals)) else None
-    new ShapeSampler(off, kb.result(), cb.result(), alias)
+    Array.tabulate(s) { x =>
+      val alias = if (totals(x).exists(_ > 0)) Some(Alias(totals(x))) else None
+      new ShapeSampler(offs(x), kbs(x).result(), cbs(x).result(), alias)
+    }
+  }
+
+  /** The index of `t` in `sorted`, which holds shape codes in unsigned order. */
+  private def unsignedIndex(sorted: Array[Int], t: Int): Int = {
+    var lo = 0; var hi = sorted.length - 1
+    while (lo <= hi) {
+      val mid = (lo + hi) >>> 1
+      val c = Integer.compareUnsigned(sorted(mid), t)
+      if (c == 0) return mid
+      if (c < 0) lo = mid + 1 else hi = mid - 1
+    }
+    -1
   }
 
   private def shapeSampler(shape: Int): ShapeSampler = {
-    val slot = shapeSlots.find(_.shape == shape).getOrElse(
-      throw new IllegalArgumentException(s"not a free $k-treelet shape: $shape"))
-    slot.sampler
+    val x = unsignedIndex(freeShapes, shape)
+    if (x < 0) throw new IllegalArgumentException(s"not a free $k-treelet shape: $shape")
+    shapeSamplers(x)
   }
 
-  // Memo caches of Σ_{u~v} c(ct, u) and of the hub distributions. The keys
-  // go through splitmix64's finalizer, a bijection, so that boxed keys
-  // spread over the maps' bins (Long.hashCode of the raw mix does not).
+  // Memo caches of Σ_{u~v} c(ct, u), of the hub distributions and of the
+  // hubs' split weights. The keys go through splitmix64's finalizer, a
+  // bijection, so that boxed keys spread over the maps' bins (Long.hashCode
+  // of the raw mix does not).
   private val sumCache = new ConcurrentHashMap[java.lang.Long, java.lang.Double]
   private val hubCache = new ConcurrentHashMap[java.lang.Long, HubDist]
+  private val splitCache = new ConcurrentHashMap[java.lang.Long, Array[Double]]
   private def cacheKey(h: Int, v: Int, ct: Long, hShift: Int): Long = {
     var z = v.toLong * 0x9E3779B97F4A7C15L ^ ct ^ (h.toLong << hShift)
     z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
@@ -134,8 +161,10 @@ final class MotivoLocalTable(
     */
   private final class HubDist(val nbrs: Array[Int], val cum: Array[Double])
 
-  private def hubDist(h: Int, v: Int, ct: Long): HubDist =
-    hubCache.computeIfAbsent(cacheKey(h, v, ct, 52), _ => {
+  private def hubDist(h: Int, v: Int, ct: Long): HubDist = {
+    val key = cacheKey(h, v, ct, 52)
+    val hit = hubCache.get(key)
+    if (hit != null) hit else hubCache.computeIfAbsent(key, _ => {
       val d = g.degree(v)
       val nb = new mutable.ArrayBuilder.ofInt
       val cb = new mutable.ArrayBuilder.ofDouble
@@ -150,6 +179,7 @@ final class MotivoLocalTable(
       require(s > 0, s"no neighbor of $v holds treelet ${ColoredTreelet.toPrettyString(ct)}")
       new HubDist(nb.result(), cb.result())
     })
+  }
 
   /** Draw u ~ v with probability ∝ c(ct, u): a binary search in the cached
     * sparse distribution for hubs (degree ≥ `bufferThreshold`), one sweep
@@ -182,6 +212,26 @@ final class MotivoLocalTable(
     * sample(T) primitive of AGS (§4).
     */
   def sampleTreeletCopy(rnd: Random, shape: Option[Int] = None): Array[Int] = {
+    val verts = new Array[Int](k)
+    drawCopy(rnd, shape, verts, new Array[Int](k))
+    verts
+  }
+
+  /** Draw one sample and return its canonical induced graphlet code. The
+    * k − 1 tree edges come from the draw; only the other pairs are looked
+    * up in the graph.
+    */
+  def sampleGraphlet(rnd: Random, shape: Option[Int] = None): Long = {
+    val verts = new Array[Int](k)
+    val rows = new Array[Int](k)
+    drawCopy(rnd, shape, verts, rows)
+    Graphlet.canonical(LocalGraph.inducedAdj(g, verts, rows))
+  }
+
+  /** One treelet copy into `verts`, indexed by color, with its edges set in
+    * the adjacency rows `rows`, indexed the same way.
+    */
+  private def drawCopy(rnd: Random, shape: Option[Int], verts: Array[Int], rows: Array[Int]): Unit = {
     val (v0, ct0) = shape match {
       case None =>
         val v = rootAlias.draw(rnd)
@@ -195,15 +245,7 @@ final class MotivoLocalTable(
         val lo = ss.off(v); val hi = ss.off(v + 1)
         (v, ss.codes(firstAbove(ss.cums, lo, hi, rnd.nextDouble() * ss.cums(hi - 1))))
     }
-    val verts = new Array[Int](k)
-    expand(v0, ct0, verts, rnd)
-    verts
-  }
-
-  /** Draw one sample and return its canonical induced graphlet code. */
-  def sampleGraphlet(rnd: Random, shape: Option[Int] = None): Long = {
-    val verts = sampleTreeletCopy(rnd, shape)
-    Graphlet.canonical(LocalGraph.inducedAdj(g, verts))
+    expand(v0, ct0, verts, rows, rnd)
   }
 
   /** The first index i in [from, until) with cum(i) > x, for
@@ -216,23 +258,12 @@ final class MotivoLocalTable(
     lo
   }
 
-  /** Recursive expansion (§2.2): pick a color split C' ⊎ C'' and a neighbor
-    * u with probability ∝ c(T'_{C'}, v) · Σ_u c(T''_{C''}, u), then recurse.
-    * Vertices land in `verts` indexed by color rank, so the output order is
-    * canonical per sample.
+  /** The cumulative weights over the color splits of `ct` at v of
+    * c(ct1, v) · Σ_{u~v} c(ct2, u), in the order of `splitPairs(ct)`.
     */
-  private def expand(v: Int, ct: Long, verts: Array[Int], rnd: Random): Unit = {
-    if (ColoredTreelet.size(ct) == 1) {
-      // verts is indexed by color id — colorful ⇒ a bijection colors↔slots.
-      val color = Integer.numberOfTrailingZeros(ColoredTreelet.colorMask(ct))
-      verts(color) = v
-      return
-    }
-    val h = ColoredTreelet.size(ct)
-    val splits = ColoredTreelet.splitPairs(ct)
+  private def splitWeights(v: Int, ct: Long, splits: Array[Long]): Array[Double] = {
+    val h1 = ColoredTreelet.size(splits(0))
     val h2 = ColoredTreelet.size(splits(1))
-    val h1 = h - h2
-    // cumulative weight over splits of c(ct1, v) · Σ_{u~v} c(ct2, u)
     val cum = new Array[Double](splits.length / 2)
     var tot = 0.0
     var si = 0
@@ -243,11 +274,39 @@ final class MotivoLocalTable(
       si += 1
     }
     require(tot > 0, s"inconsistent table: no valid split for ${ColoredTreelet.toPrettyString(ct)} at $v")
-    si = firstAbove(cum, 0, cum.length, rnd.nextDouble() * tot)
+    cum
+  }
+
+  /** [[splitWeights]], cached per (hub, treelet) like the hub's neighbor
+    * distributions (§3.2 buffering applied to the split choice).
+    */
+  private def hubSplitWeights(v: Int, ct: Long, splits: Array[Long]): Array[Double] = {
+    val key = cacheKey(ColoredTreelet.size(ct), v, ct, 52)
+    val hit = splitCache.get(key)
+    if (hit != null) hit else splitCache.computeIfAbsent(key, _ => splitWeights(v, ct, splits))
+  }
+
+  /** Recursive expansion (§2.2): pick a color split C' ⊎ C'' and a neighbor
+    * u with probability ∝ c(T'_{C'}, v) · Σ_u c(T''_{C''}, u), then recurse.
+    * Vertices land in `verts` indexed by color rank, so the output order is
+    * canonical per sample, and each drawn edge (v, u) is set in `rows`.
+    */
+  private def expand(v: Int, ct: Long, verts: Array[Int], rows: Array[Int], rnd: Random): Unit = {
+    if (ColoredTreelet.size(ct) == 1) {
+      // verts is indexed by color id — colorful ⇒ a bijection colors↔slots.
+      val color = Integer.numberOfTrailingZeros(ColoredTreelet.colorMask(ct))
+      verts(color) = v
+      return
+    }
+    val splits = ColoredTreelet.splitPairs(ct)
+    val cum = if (g.degree(v) >= bufferThreshold) hubSplitWeights(v, ct, splits) else splitWeights(v, ct, splits)
+    val si = firstAbove(cum, 0, cum.length, rnd.nextDouble() * cum(cum.length - 1))
     val ct1 = splits(2 * si); val ct2 = splits(2 * si + 1)
-    val u = drawNeighbor(h2, v, ct2, rnd)
-    expand(v, ct1, verts, rnd)
-    expand(u, ct2, verts, rnd)
+    val u = drawNeighbor(ColoredTreelet.size(ct2), v, ct2, rnd)
+    rows(colors(v)) |= 1 << colors(u)
+    rows(colors(u)) |= 1 << colors(v)
+    expand(v, ct1, verts, rows, rnd)
+    expand(u, ct2, verts, rows, rnd)
   }
 
   /** Total byte footprint of the table's records, the Table-3 metric: 8 B

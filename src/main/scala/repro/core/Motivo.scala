@@ -30,12 +30,32 @@ object Motivo {
     */
   private val Chunk = 64
 
+  /** `java.util.Random`'s generator — the same 48-bit LCG, seeding and
+    * `next(bits)`, so the same stream for a seed — with its state in a plain
+    * field instead of an `AtomicLong`: no compare-and-set per draw. For one
+    * thread at a time.
+    */
+  private[core] final class UnsyncRandom(seed: Long) extends java.util.Random(seed) {
+    // no initializer: java.util.Random's constructor sets it through setSeed
+    private var state: Long = _
+
+    override def setSeed(seed: Long): Unit = {
+      super.setSeed(seed) // resets the Gaussian cache of the next call
+      state = (seed ^ 0x5DEECE66DL) & ((1L << 48) - 1)
+    }
+
+    override protected def next(bits: Int): Int = {
+      state = (state * 0x5DEECE66DL + 0xBL) & ((1L << 48) - 1)
+      (state >>> (48 - bits)).toInt
+    }
+  }
+
   /** Adapter: local Motivo table → AGS sampling interface.
     *
     * A batch is filled in parallel ([[Par.forEach]]), in chunks of `Chunk`
-    * samples. Each chunk draws from its own `Random`, seeded from this
-    * sampler's stream on the calling thread, so the batch depends on the
-    * seed and not on the thread count.
+    * samples. Each chunk draws from its own [[UnsyncRandom]], seeded from
+    * this sampler's stream on the calling thread, so the batch depends on
+    * the seed and not on the thread count.
     */
   final class LocalShapeSampler(val table: MotivoLocalTable, seed: Long) extends ShapeSampling {
     private val rnd = new Random(seed)
@@ -45,7 +65,7 @@ object Motivo {
       val out = new Array[Long](b)
       val seeds = Array.fill((b + Chunk - 1) / Chunk)(rnd.nextLong())
       Par.forEach(seeds.length) { c =>
-        val r = new Random(seeds(c))
+        val r = new Random(new UnsyncRandom(seeds(c)))
         var i = c * Chunk
         val end = math.min(b, i + Chunk)
         while (i < end) { out(i) = table.sampleGraphlet(r, shape); i += 1 }

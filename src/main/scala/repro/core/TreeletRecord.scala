@@ -34,11 +34,8 @@ final class TreeletRecord private[core] (val codes: Array[Long], private[core] v
   }
 
   /** The count of the i-th code as a double, for sampling weights. */
-  def weight(i: Int): Double = {
-    val c = new Array[Long](2)
-    countInto(i, c, 0)
-    U128.toDouble(c, 0)
-  }
+  def weight(i: Int): Double =
+    if (i == 0) U128.toDouble(eta, 0) else U128.subToDouble(eta, 2 * i, 2 * i - 2)
 
   /** η of the i-th code as a double: non-decreasing in i. */
   private def cumulative(i: Int): Double = U128.toDouble(eta, 2 * i)

@@ -31,9 +31,15 @@ private[core] object U128 {
   /** out(o) = a(i) − b(j), for a(i) ≥ b(j). */
   def sub(a: Array[Long], i: Int, b: Array[Long], j: Int, out: Array[Long], o: Int): Unit = {
     val lo = a(i + 1) - b(j + 1)
-    val borrow = if (java.lang.Long.compareUnsigned(a(i + 1), b(j + 1)) < 0) 1L else 0L
-    out(o) = a(i) - b(j) - borrow; out(o + 1) = lo
+    out(o) = a(i) - b(j) - borrow(a(i + 1), b(j + 1)); out(o + 1) = lo
   }
+
+  /** a(i) − a(j) as [[toDouble]] of the difference, for a(i) ≥ a(j). */
+  def subToDouble(a: Array[Long], i: Int, j: Int): Double =
+    toDouble(a(i) - a(j) - borrow(a(i + 1), a(j + 1)), a(i + 1) - a(j + 1))
+
+  private def borrow(lo1: Long, lo2: Long): Long =
+    if (java.lang.Long.compareUnsigned(lo1, lo2) < 0) 1L else 0L
 
   /** out(o) = x(i) · y(j). */
   def mul(x: Array[Long], i: Int, y: Array[Long], j: Int, out: Array[Long], o: Int): Unit = {
@@ -75,8 +81,9 @@ private[core] object U128 {
   /** Nearest double, within one ulp; monotone in the value, so cumulative
     * counts stay sorted as doubles.
     */
-  def toDouble(a: Array[Long], i: Int): Double = {
-    val hi = a(i); val lo = a(i + 1)
+  def toDouble(a: Array[Long], i: Int): Double = toDouble(a(i), a(i + 1))
+
+  private def toDouble(hi: Long, lo: Long): Double =
     if (hi == 0) unsignedToDouble(lo)
     else {
       val shift = 64 - java.lang.Long.numberOfLeadingZeros(hi)
@@ -84,7 +91,6 @@ private[core] object U128 {
       val top = (hi << (64 - shift)) | (lo >>> shift)
       java.lang.Math.scalb(unsignedToDouble(top), shift)
     }
-  }
 
   /** A new one-value array holding `v`, which must be in [0, Max]. */
   def of(v: BigInt): Array[Long] = {

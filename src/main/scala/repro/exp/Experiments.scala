@@ -335,9 +335,13 @@ object Experiments {
 
   // ---------------------------------------------------------------- Table 6
 
+  /** One Table 6 row. The error percentiles are over the truth's graphlets
+    * that got at least one naive sample; `unsampled` counts those that got
+    * none (each has relative error exactly 1).
+    */
   final case class BiasedRow(graph: String, k: Int, lambda: String,
                              buildSec: Double, pairs: Long, medAbsErr: Double,
-                             p90AbsErr: Double)
+                             p90AbsErr: Double, unsampled: Int)
 
   /** §3.4 biased coloring: build time + table size vs count-error growth.
     * Each λ's errors come from a [[Motivo.runSparkBuild]] query with naive
@@ -359,13 +363,14 @@ object Experiments {
     }
     lambdas.indices.map { i =>
       val est = runs(i).naiveCounts
-      val errs = truth.collect { case (code, c) if c > 0 =>
-        math.abs(est.getOrElse(code, 0.0) - c) / c
+      val present = truth.filter(_._2 > 0)
+      val errs = present.collect { case (code, c) if est.contains(code) =>
+        math.abs(est(code) - c) / c
       }.toSeq.sorted
       val med = if (errs.isEmpty) Double.NaN else errs(errs.size / 2)
       val p90 = if (errs.isEmpty) Double.NaN else errs((errs.size * 9) / 10 min (errs.size - 1))
       BiasedRow(gName, k, lambdas(i).map(l => f"$l%.3f").getOrElse("uniform"), secs(i), pairs(i),
-        med, p90)
+        med, p90, present.size - errs.size)
     }
   }
 
@@ -385,10 +390,11 @@ object Experiments {
 
   def table6Text(rows: Seq[BiasedRow]): String =
     render("Table 6: biased coloring (§3.4)",
-      Seq("graph", "k", "lambda", "build s", "pairs", "med |err|", "p90 |err|"),
+      Seq("graph", "k", "lambda", "build s", "pairs", "med |err|", "p90 |err|", "unsampled"),
       rows.map(r => Seq(r.graph, r.k.toString, r.lambda, fmt(r.buildSec), r.pairs.toString,
         if (r.medAbsErr.isNaN) "-" else f"${r.medAbsErr}%.3f",
-        if (r.p90AbsErr.isNaN) "-" else f"${r.p90AbsErr}%.3f")))
+        if (r.p90AbsErr.isNaN) "-" else f"${r.p90AbsErr}%.3f",
+        if (r.medAbsErr.isNaN && r.unsampled == 0) "-" else r.unsampled.toString)))
 
   /** Convenience: canonical star code on k nodes (Yelp analysis, §5.3). */
   def starCode(k: Int): Long = {

@@ -26,8 +26,13 @@ final class LocalGraph private (val n: Int, val offsets: Array[Int], val adj: Ar
 
   @inline def neighborAt(v: Int, i: Int): Int = adj(offsets(v) + i)
 
-  /** O(log δ(u)) membership test via binary search in u's sorted row. */
-  def hasEdge(u: Int, v: Int): Boolean = {
+  /** O(log min(δ(u), δ(v))) membership test: a binary search in the
+    * sorted row of the endpoint with the lower degree.
+    */
+  def hasEdge(u: Int, v: Int): Boolean =
+    if (degree(u) <= degree(v)) rowContains(u, v) else rowContains(v, u)
+
+  private def rowContains(u: Int, v: Int): Boolean = {
     var lo = offsets(u); var hi = offsets(u + 1) - 1
     while (lo <= hi) {
       val mid = (lo + hi) >>> 1
@@ -70,14 +75,20 @@ object LocalGraph {
   /** The k-node graphlet induced by `verts` (in the given order) as
     * adjacency rows — the sampling phase's "take the induced subgraph".
     */
-  def inducedAdj(g: LocalGraph, verts: Array[Int]): Array[Int] = {
+  def inducedAdj(g: LocalGraph, verts: Array[Int]): Array[Int] =
+    inducedAdj(g, verts, new Array[Int](verts.length))
+
+  /** [[inducedAdj]] completed from `rows`, which already hold some of the
+    * edges among `verts` (a sampled copy's tree edges): only the pairs not
+    * set there are looked up. Fills and returns `rows`.
+    */
+  def inducedAdj(g: LocalGraph, verts: Array[Int], rows: Array[Int]): Array[Int] = {
     val k = verts.length
-    val rows = new Array[Int](k)
     var i = 0
     while (i < k) {
       var j = i + 1
       while (j < k) {
-        if (g.hasEdge(verts(i), verts(j))) { rows(i) |= 1 << j; rows(j) |= 1 << i }
+        if ((rows(i) & (1 << j)) == 0 && g.hasEdge(verts(i), verts(j))) { rows(i) |= 1 << j; rows(j) |= 1 << i }
         j += 1
       }
       i += 1

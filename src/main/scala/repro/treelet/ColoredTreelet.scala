@@ -60,12 +60,14 @@ object ColoredTreelet {
     * code: the sampler asks for it at every internal node of every sample.
     * Callers must not mutate the returned array.
     */
-  def splitPairs(ct: Long): Array[Long] =
-    splitMemo.computeIfAbsent(ct, _ => {
+  def splitPairs(ct: Long): Array[Long] = {
+    val hit = splitMemo.get(ct)
+    if (hit != null) hit else splitMemo.computeIfAbsent(ct, _ => {
       val (s1, s2) = decompShapes(ct)
       val cm = colorMask(ct)
       subsetsOfSize(cm, Treelet.size(s2)).flatMap(c2 => Seq(pack(s1, cm & ~c2), pack(s2, c2))).toArray
     })
+  }
 
   /** All sub-masks of `mask` with exactly `want` bits set. */
   def subsetsOfSize(mask: Int, want: Int): Seq[Int] = {

@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.color.Coloring
 import repro.graph.{Generators, LocalGraph}
-import repro.graphlet.SpanningTrees
+import repro.graphlet.{Graphlet, SpanningTrees}
 import repro.treelet.{ColoredTreelet, Treelet, TreeletEnum}
 import scala.util.Random
 
@@ -202,6 +202,65 @@ class TableSpec extends SparkSpec {
         for (i <- 0 until k) assert(colors(verts(i)) == i, s"threshold=$threshold seed=$s")
         assert(repro.graphlet.Graphlet.isConnected(LocalGraph.inducedAdj(g, verts)))
       }
+    }
+  }
+
+  /** Every unrestricted and per-shape draw of a table: None, then each
+    * shape with colorful copies.
+    */
+  private def drawKinds(t: MotivoLocalTable): Seq[Option[Int]] =
+    None +: t.totalsByShape.toSeq.sortBy(_._1).collect { case (j, rj) if rj > 0 => Some(j) }
+
+  test("sampleGraphlet's tree edges give the graphlet inducedAdj gives for the same draw") {
+    val graphs = Seq(
+      "star-skewed" -> Generators.starskew(300, hubs = 2, hubDeg = 120, bgEdges = 300, seed = 63),
+      "ring-chord" -> Generators.ringChords(60, 40, seed = 64),
+      "ER" -> Generators.er(60, 200, seed = 65))
+    for ((name, g) <- graphs; k <- Seq(3, 5, 7)) {
+      val r = LocalEngine.buildUp(g, colorsFor(g, k, 18), k)
+      assert(r.totalTreelets > 0, s"$name k=$k")
+      for (threshold <- Seq(10, 250)) {
+        val t = MotivoLocalTable.fromResult(r, bufferThreshold = threshold)
+        for (shape <- drawKinds(t); s <- 1 to 200) {
+          val copy = t.sampleTreeletCopy(new Random(s), shape)
+          assert(t.sampleGraphlet(new Random(s), shape) == Graphlet.canonical(LocalGraph.inducedAdj(g, copy)),
+            s"$name k=$k threshold=$threshold shape=$shape seed=$s")
+        }
+      }
+    }
+  }
+
+  test("buffering hubs' neighbors and color splits changes no draw") {
+    val g = Generators.starskew(300, hubs = 2, hubDeg = 120, bgEdges = 300, seed = 63)
+    for (k <- Seq(4, 6)) {
+      val r = LocalEngine.buildUp(g, colorsFor(g, k, 19), k)
+      val buffered = MotivoLocalTable.fromResult(r, bufferThreshold = 10)
+      val swept = MotivoLocalTable.fromResult(r, bufferThreshold = Int.MaxValue)
+      for (shape <- drawKinds(buffered); s <- 1 to 20) {
+        val (rb, rs) = (new Random(s), new Random(s))
+        for (i <- 1 to 50) {
+          val (vb, vs) = (buffered.sampleTreeletCopy(rb, shape), swept.sampleTreeletCopy(rs, shape))
+          assert(vb.sameElements(vs), s"k=$k shape=$shape seed=$s draw $i: ${vb.toSeq} vs ${vs.toSeq}")
+        }
+      }
+    }
+  }
+
+  test("the sampling chunks' generator draws java.util.Random's stream") {
+    for (seed <- 1L to 20L) {
+      val s = seed * 0x9E3779B97F4A7C15L
+      val (fast, ref) = (new Motivo.UnsyncRandom(s), new java.util.Random(s))
+      val pick = new java.util.Random(seed)
+      for (i <- 1 to 10000) pick.nextInt(3) match {
+        case 0 => assert(fast.nextDouble() == ref.nextDouble(), s"seed=$seed call $i")
+        case 1 =>
+          // powers of two take nextInt's multiply branch, the others its rejection loop
+          val n = if (pick.nextBoolean()) 1 << pick.nextInt(31) else 1 + pick.nextInt(Int.MaxValue)
+          assert(fast.nextInt(n) == ref.nextInt(n), s"seed=$seed call $i n=$n")
+        case _ => assert(fast.nextLong() == ref.nextLong(), s"seed=$seed call $i")
+      }
+      fast.setSeed(seed); ref.setSeed(seed)
+      for (_ <- 1 to 10) assert(fast.nextGaussian() == ref.nextGaussian())
     }
   }
 

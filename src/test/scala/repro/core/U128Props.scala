@@ -49,6 +49,15 @@ object U128Props extends Properties("U128") {
     (BigDecimal(d) - BigDecimal(x)).abs <= BigDecimal(math.ulp(d))
   }
 
+  property("subToDouble is toDouble of the sub") = forAll(value, value) { (x, y) =>
+    (x + y <= U128.Max) ==> {
+      val a = Array.concat(U128.of(x), U128.of(x + y))
+      val out = new Array[Long](2)
+      U128.sub(a, 2, a, 0, out, 0)
+      U128.subToDouble(a, 2, 0) == U128.toDouble(out, 0)
+    }
+  }
+
   property("the sub of cumulative counts recovers each count") = forAll(value, value) { (x, y) =>
     (x + y <= U128.Max) ==> {
       val a = U128.of(x + y)

@@ -116,6 +116,23 @@ class GraphSpec extends SparkSpec {
     for (i <- 0 until 20) assert(g.hasEdge(i, (i + 1) % 20))
   }
 
+  test("inducedAdj equals a brute-force scan of the adjacency rows") {
+    // hub rows make hasEdge search the lower-degree endpoint's row
+    val graphs = Seq(Generators.starskew(300, hubs = 2, hubDeg = 120, bgEdges = 300, seed = 16),
+      Generators.er(60, 200, seed = 15))
+    val rnd = new scala.util.Random(3)
+    for (g <- graphs; _ <- 1 to 300) {
+      val hubs = (0 until g.n).filter(g.degree(_) >= 100)
+      val k = 3 + rnd.nextInt(6)
+      val others = rnd.shuffle((0 until g.n).filterNot(hubs.contains).toList)
+      val verts = (hubs.filter(_ => rnd.nextBoolean()) ++ others).take(k).toArray
+      def scan(u: Int, v: Int) = (g.offsets(u) until g.offsets(u + 1)).exists(g.adj(_) == v)
+      val brute = Array.tabulate(k)(i => (0 until k).filter(j => j != i && scan(verts(i), verts(j)))
+        .foldLeft(0)((m, j) => m | (1 << j)))
+      assert(LocalGraph.inducedAdj(g, verts).sameElements(brute), verts.toSeq)
+    }
+  }
+
   test("inducedAdj matches hasEdge") {
     val g = Generators.er(60, 200, seed = 15)
     val rnd = new scala.util.Random(2)
