@@ -67,13 +67,9 @@ object AGS {
     val hits = mutable.HashMap.empty[Long, Long].withDefaultValue(0L)
     val nByShape = mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
     val covered = mutable.HashSet.empty[Long]
-    val sigmaOf = mutable.HashMap.empty[Long, Map[Int, Long]] // σ_{i·} cache
-
-    def sigma(code: Long): Map[Int, Long] =
-      sigmaOf.getOrElseUpdate(code, SpanningTrees.sigmaByShape(code, k))
 
     def weightOf(code: Long): Double = {
-      val s = sigma(code)
+      val s = SpanningTrees.sigmaByShape(code, k)
       shapes.iterator.map(j => nByShape(j).toDouble * s.getOrElse(j, 0L).toDouble / r(j)).sum
     }
 
@@ -84,7 +80,7 @@ object AGS {
     def coveredProbs(): Array[Double] = {
       val p = new Array[Double](shapes.length)
       for (code <- covered) {
-        val s = sigma(code)
+        val s = SpanningTrees.sigmaByShape(code, k)
         val w = weightOf(code)
         for (x <- shapes.indices) {
           val sij = s.getOrElse(shapes(x), 0L).toDouble

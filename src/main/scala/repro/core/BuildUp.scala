@@ -42,7 +42,7 @@ object BuildUp {
                                         c: Array[TreeletRecord], n: Array[TreeletRecord])
 
   /** The build's final state: each vertex's records c_1(v) .. c_k(v) and neighbors, by vertex. */
-  final case class Result(k: Int, zeroRoot: Boolean, state: RDD[(Int, Vertex)]) {
+  final case class Result(k: Int, state: RDD[(Int, Vertex)]) {
 
     /** t: total number of colorful k-treelet copies (0-rooted ⇒ each once). */
     lazy val totalTreelets: BigInt = {
@@ -73,7 +73,7 @@ object BuildUp {
       val tables = new Array[LocalEngine.Level](k + 1)
       for (h <- 1 to k) tables(h) = Array.fill(g.n)(TreeletRecord.Empty)
       for ((v, c) <- state.mapValues(_.c).collect(); h <- 1 to k) tables(h)(v) = c(h)
-      LocalEngine.Result(g, colors, k, zeroRoot, tables)
+      LocalEngine.Result(g, colors, k, tables)
     }
 
     def unpersist(): Unit = state.unpersist(blocking = false)
@@ -92,12 +92,10 @@ object BuildUp {
     *
     * @param arcs     both directions of every edge, each arc once
     * @param n        the number of vertices, 0..n−1 (isolated ones included)
-    * @param colorOf  the color of a vertex, in [0, k); every task calls it,
-    *                 so no coloring is shuffled
-    * @param zeroRoot restrict level k to color-0 roots (§3.2)
+    * @param colorOf the color of a vertex, in [0, k); every task calls it,
+    *                so no coloring is shuffled
     */
-  def run(spark: SparkSession, arcs: RDD[(Int, Int)], n: Int, colorOf: Int => Int, k: Int,
-          zeroRoot: Boolean = true): Result = {
+  def run(spark: SparkSession, arcs: RDD[(Int, Int)], n: Int, colorOf: Int => Int, k: Int): Result = {
     require(k >= 2 && k <= 8, s"k=$k out of [2,8]")
     require(n >= 0, s"n=$n is negative")
     val input =
@@ -124,7 +122,7 @@ object BuildUp {
       val nh = s.n :+ sum
       val last = h == k
       val ch =
-        if (last && zeroRoot && s.color != 0) TreeletRecord.Empty
+        if (last && s.color != 0) TreeletRecord.Empty
         else TreeletRecord.eq1(h, s.c(_), (h2, b) => b.addRecord(nh(h2)))
       Vertex(s.color, s.nbrs, s.c :+ ch, if (last) Array.empty else nh)
     }
@@ -156,7 +154,7 @@ object BuildUp {
     try state.count()
     catch { case e: Throwable => persisted.foreach(_.unpersist(blocking = false)); throw e }
     persisted.init.foreach(_.unpersist(blocking = false))
-    Result(k, zeroRoot, state)
+    Result(k, state)
   }
 
   /** Marks a vertex in the neighbor shuffle; no vertex id is negative. */
@@ -168,10 +166,9 @@ object BuildUp {
   /** Run on a LocalGraph: its arcs in `defaultParallelism` partitions, and
     * colors from `coloring`'s hash in the tasks.
     */
-  def runLocalGraph(spark: SparkSession, g: LocalGraph, coloring: repro.color.Coloring,
-                    zeroRoot: Boolean = true): Result = {
+  def runLocalGraph(spark: SparkSession, g: LocalGraph, coloring: repro.color.Coloring): Result = {
     val sc = spark.sparkContext
     run(spark, sc.parallelize(g.arcs.toIndexedSeq, sc.defaultParallelism), g.n,
-      v => coloring.colorOf(v.toLong), coloring.k, zeroRoot)
+      v => coloring.colorOf(v.toLong), coloring.k)
   }
 }

@@ -14,12 +14,12 @@ import scala.util.Random
   * build-up's own per-vertex state ([[BuildUp.Result.state]]): each
   * vertex's records and its sorted neighbors. The build is its only input.
   *
-  *  1. Roots are drawn on the driver with the alias method over per-vertex
-  *     totals, read once from the level-k records (per free shape for the
-  *     sample(T) primitive of AGS, §4).
-  *  2. At the root, the colored k-treelet is picked by binary search in the
-  *     record's cumulative counts, rounded to doubles as in
-  *     [[MotivoLocalTable]].
+  *  1. Every draw is sample(T_j) of AGS (§4). The driver draws each
+  *     sample's free shape ∝ r_j when the batch is unrestricted, then its
+  *     root with that shape's alias table over the per-vertex totals c(T_j, v),
+  *     read once from the level-k records.
+  *  2. At the root, the colored k-treelet of shape T_j is picked ∝ its count,
+  *     rounded to a double as in [[MotivoLocalTable]].
   *  3. k − 1 rounds of expansion. A pending branch (T_C at v) sends
   *     c(T'_{C'}, v) of each color split along v's arcs; each neighbor u bids
   *     −ln(U) / (c(T'_{C'}, v)·c(T''_{C''}, u)) and the least bid wins, an
@@ -32,7 +32,7 @@ import scala.util.Random
   * Every step runs at its vertex's partition under the state's partitioner,
   * so the state never shuffles. Each uniform U on the executors is a hash of
   * (seed, batch, sample, branch, round, candidate), and the driver draws the
-  * roots from a `Random` seeded by (seed, batch): a seed gives the same codes
+  * shapes and roots from a `Random` seeded by (seed, batch): a seed gives the same codes
   * on any partitioning.
   */
 final class DistSampler(spark: SparkSession,
@@ -71,26 +71,31 @@ final class DistSampler(spark: SparkSession,
   val totalsByShape: Map[Int, Double] =
     rootRows.groupMapReduce(_._2)(_._3)(_ + _).map { case (j, t) => j -> t.toDouble }
 
-  private val aliasCache = collection.mutable.HashMap.empty[Option[Int], (Array[Int], Alias)]
+  /** The free shapes in ascending order, and the alias over their r_j. */
+  private val shapes: Array[Int] = totalsByShape.keys.toArray.sorted
+  private lazy val shapeAlias: Alias = Alias(shapes.map(totalsByShape))
 
-  private def aliasFor(shape: Option[Int]): (Array[Int], Alias) =
+  private val aliasCache = collection.mutable.HashMap.empty[Int, (Array[Int], Alias)]
+
+  /** The roots c(T_j, v) > 0 of shape j and their alias table. */
+  private def aliasFor(shape: Int): (Array[Int], Alias) =
     aliasCache.getOrElseUpdate(shape, {
-      val rows = shape match {
-        case None => rootRows.groupMapReduce(_._1)(_._3)(_ + _).toArray.sortBy(_._1)
-        case Some(s) => rootRows.filter(_._2 == s).map(r => (r._1, r._3))
-      }
+      val rows = rootRows.filter(_._2 == shape)
       require(rows.nonEmpty, s"no colorful copies for shape $shape")
-      (rows.map(_._1), Alias(rows.map(_._2.toDouble)))
+      (rows.map(_._1), Alias(rows.map(_._3.toDouble)))
     })
 
   def sampleBatch(shape: Option[Int], b: Int): Seq[Long] = {
     batchNo += 1
     val (batch, kk, sd, p, sh) = (batchNo, k, seed, part, shards) // the closures' copies
-    val (verts, alias) = aliasFor(shape)
     val rnd = new Random(hash(sd, batch))
-    val roots = spark.sparkContext.parallelize(Seq.tabulate(b)(sid => verts(alias.draw(rnd)) -> sid))
-    var pending = atVertex(roots.partitionBy(p), sh) { (v, n, sid) =>
-      Iterator(v -> Pending(sid, 1, pickRoot(n.c(kk), shape, uniform(sd, batch, sid, 1, 0, 0))))
+    val roots = spark.sparkContext.parallelize(Seq.tabulate(b) { sid =>
+      val j = shape.getOrElse(shapes(shapeAlias.draw(rnd)))
+      val (verts, alias) = aliasFor(j)
+      verts(alias.draw(rnd)) -> (sid, j)
+    })
+    var pending = atVertex(roots.partitionBy(p), sh) { case (v, n, (sid, j)) =>
+      Iterator(v -> Pending(sid, 1, pickRoot(n.c(kk), j, uniform(sd, batch, sid, 1, 0, 0))))
     }
     val done = (1 until kk).map { round =>
       val offers = atVertex(pending, sh)(send).partitionBy(p)
@@ -152,15 +157,13 @@ object DistSampler {
       it.flatMap { case (v, a) => f(v, nodes(v), a) }
     }
 
-  /** A colored k-treelet of `rec` ∝ its count, among those of free shape
-    * `shape` when given, for a uniform `x` in (0, 1].
+  /** A colored k-treelet of `rec` of free shape `shape` ∝ its count, for a
+    * uniform `x` in (0, 1].
     */
-  private def pickRoot(rec: TreeletRecord, shape: Option[Int], x: Double): Long = shape match {
-    case None => rec.codes(rec.indexAbove((1 - x) * rec.totalWeight))
-    case Some(s) =>
-      val of = rec.codes.indices.filter(i => TreeletEnum.freeShape(ColoredTreelet.shape(rec.codes(i))) == s)
-      val cum = of.scanLeft(0.0)(_ + rec.weight(_)).tail
-      rec.codes(of(cum.indexWhere(_ > (1 - x) * cum.last)))
+  private def pickRoot(rec: TreeletRecord, shape: Int, x: Double): Long = {
+    val of = rec.codes.indices.filter(i => TreeletEnum.freeShape(ColoredTreelet.shape(rec.codes(i))) == shape)
+    val cum = of.scanLeft(0.0)(_ + rec.weight(_)).tail
+    rec.codes(of(cum.indexWhere(_ > (1 - x) * cum.last)))
   }
 
   /** A pending branch with c(T'_{C'}, v) of each split, to each neighbor. */

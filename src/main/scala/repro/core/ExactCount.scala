@@ -18,13 +18,9 @@ import scala.collection.mutable
 object ExactCount {
 
   /** Induced-subgraph census: canonical graphlet code → exact count. */
-  def census(g: LocalGraph, k: Int, maxSubgraphs: Long = Long.MaxValue): Map[Long, Long] = {
+  def census(g: LocalGraph, k: Int): Map[Long, Long] = {
     val acc = mutable.HashMap.empty[Long, Long]
-    var n = 0L
     foreachConnectedSubset(g, k) { verts =>
-      n += 1
-      if (n > maxSubgraphs)
-        throw new IllegalStateException(s"census aborted: more than $maxSubgraphs subgraphs")
       val code = Graphlet.canonical(LocalGraph.inducedAdj(g, verts))
       acc(code) = acc.getOrElse(code, 0L) + 1L
     }

@@ -20,8 +20,7 @@ object LocalEngine {
 
   type Level = Array[TreeletRecord]
 
-  final case class Result(g: LocalGraph, colors: Array[Int], k: Int, zeroRoot: Boolean,
-                          tables: Array[Level]) {
+  final case class Result(g: LocalGraph, colors: Array[Int], k: Int, tables: Array[Level]) {
 
     /** Total number of colorful k-treelet copies (0-rooted ⇒ once each). */
     lazy val totalTreelets: BigInt = tables(k).foldLeft(BigInt(0))(_ + _.total)
@@ -65,6 +64,6 @@ object LocalEngine {
       }
       tables(h) = lvl
     }
-    Result(g, colors, k, zeroRoot, tables)
+    Result(g, colors, k, tables)
   }
 }

@@ -11,18 +11,21 @@ import scala.util.Random
   *
   * The table is the build-up's own output: per vertex and per treelet size
   * one [[TreeletRecord]], its codes sorted and its counts cumulative (the
-  * paper's η(T_C, v)), so `occ(v)` is O(1) (the last η), `occ(T_C, v)` and
-  * `sample(v)` are O(k) binary searches. Root sampling uses the alias
-  * method; large-degree neighbor sweeps are amortized per hub (§3.2
-  * neighbor buffering): one sweep builds the hub's sparse neighbor
-  * distribution for a treelet, and every later draw is a binary search in
-  * it; the hub's color-split weights for a treelet are cached the same
-  * way. Sampling weights are the exact counts rounded to doubles.
+  * paper's η(T_C, v)), so `occCt(h, v, T_C)` is an O(k) binary search. Every
+  * draw is sample(T_j) of AGS (§4): one alias table per free shape picks
+  * the root v ∝ c(T_j, v), and a binary search in v's cumulative weights of
+  * that shape picks its colored treelet (§3.3). An unrestricted draw first
+  * picks the shape ∝ r_j, so it has the urn's law c(T_C, v)/t. Large-degree
+  * neighbor sweeps are amortized per hub (§3.2 neighbor buffering): one
+  * sweep builds the hub's sparse neighbor distribution for a treelet, and
+  * every later draw is a binary search in it; the hub's color-split weights
+  * for a treelet are cached the same way. Sampling weights are the exact
+  * counts rounded to doubles.
   *
-  * The table is read-only after construction except for memo caches whose
-  * values do not depend on which thread fills them, so concurrent
-  * `sampleTreeletCopy`/`sampleGraphlet` calls are safe, and each one's
-  * output depends only on its own `Random`.
+  * The table is read-only after construction except for lazily built
+  * samplers and memo caches whose values do not depend on which thread
+  * fills them, so concurrent `sampleTreeletCopy`/`sampleGraphlet` calls are
+  * safe, and each one's output depends only on its own `Random`.
   */
 final class MotivoLocalTable(
     val result: LocalEngine.Result,
@@ -44,9 +47,6 @@ final class MotivoLocalTable(
   lazy val totalsByShape: Map[Int, Double] =
     result.totalsByShape.map { case (j, t) => j -> t.toDouble }
 
-  /** O(1): total treelet weight rooted at v at level h. */
-  def occ(h: Int, v: Int): Double = tables(h)(v).totalWeight
-
   /** O(k): count of a specific colored treelet at v (binary search). */
   def occCt(h: Int, v: Int, ct: Long): Double = {
     val rec = tables(h)(v)
@@ -54,25 +54,22 @@ final class MotivoLocalTable(
     if (i < 0) 0.0 else rec.weight(i)
   }
 
-  private lazy val rootAlias: Alias = {
-    val w = tables(k).map(_.totalWeight)
-    if (w.forall(_ == 0.0)) throw new IllegalStateException("empty urn: no colorful k-treelets")
-    Alias(w)
-  }
-
   // The free k-treelet shapes in unsigned order, the order of freeTrees(k).
   private val freeShapes = TreeletEnum.freeTrees(k).toArray
 
+  /** The free shape of an unrestricted draw, ∝ r_j, as an index into `freeShapes`. */
+  private lazy val shapeAlias: Alias = Alias(freeShapes.map(totalsByShape.getOrElse(_, 0.0)))
+
   /** The level-k records filtered to codes of one free shape, flat: vertex
     * v's codes and their cumulative weights are `codes`/`cums` in
-    * [off(v), off(v + 1)). AGS draws from one per shape (§3.3 rebuilds the
-    * alias per shape).
+    * [off(v), off(v + 1)). Every draw reads one (§3.3 builds an alias per
+    * shape).
     */
   private final class ShapeSampler(val off: Array[Int], val codes: Array[Long],
                                    val cums: Array[Double], val alias: Option[Alias])
 
   /** Every shape's sampler, indexed like `freeShapes`, from one pass over
-    * the level-k records on the first restricted draw. Codes sort by rooted
+    * the level-k records on the first draw. Codes sort by rooted
     * shape, so a record's codes of one rooted shape are a run, and each run
     * looks up its free shape once.
     */
@@ -120,10 +117,10 @@ final class MotivoLocalTable(
     -1
   }
 
-  private def shapeSampler(shape: Int): ShapeSampler = {
+  private def shapeIndex(shape: Int): Int = {
     val x = unsignedIndex(freeShapes, shape)
     if (x < 0) throw new IllegalArgumentException(s"not a free $k-treelet shape: $shape")
-    shapeSamplers(x)
+    x
   }
 
   // Memo caches of Σ_{u~v} c(ct, u), of the hub distributions and of the
@@ -209,7 +206,7 @@ final class MotivoLocalTable(
 
   /** Draw one colorful k-treelet copy u.a.r.; returns its k vertices.
     * `shape = Some(T_j)` restricts to copies of that free shape — the
-    * sample(T) primitive of AGS (§4).
+    * sample(T) primitive of AGS (§4); `None` draws T_j ∝ r_j first.
     */
   def sampleTreeletCopy(rnd: Random, shape: Option[Int] = None): Array[Int] = {
     val verts = new Array[Int](k)
@@ -229,23 +226,18 @@ final class MotivoLocalTable(
   }
 
   /** One treelet copy into `verts`, indexed by color, with its edges set in
-    * the adjacency rows `rows`, indexed the same way.
+    * the adjacency rows `rows`, indexed the same way: sample(T_j) of the
+    * given shape or of one drawn ∝ r_j.
     */
   private def drawCopy(rnd: Random, shape: Option[Int], verts: Array[Int], rows: Array[Int]): Unit = {
-    val (v0, ct0) = shape match {
-      case None =>
-        val v = rootAlias.draw(rnd)
-        val rec = tables(k)(v)
-        (v, rec.codes(rec.indexAbove(rnd.nextDouble() * rec.totalWeight)))
-      case Some(sh) =>
-        val ss = shapeSampler(sh)
-        val al = ss.alias.getOrElse(
-          throw new IllegalArgumentException(s"shape has no colorful copies: $sh"))
-        val v = al.draw(rnd)
-        val lo = ss.off(v); val hi = ss.off(v + 1)
-        (v, ss.codes(firstAbove(ss.cums, lo, hi, rnd.nextDouble() * ss.cums(hi - 1))))
-    }
-    expand(v0, ct0, verts, rows, rnd)
+    val x = shape.fold(shapeAlias.draw(rnd))(shapeIndex)
+    val ss = shapeSamplers(x)
+    val al = ss.alias.getOrElse(
+      throw new IllegalArgumentException(s"shape has no colorful copies: ${freeShapes(x)}"))
+    val v = al.draw(rnd)
+    val lo = ss.off(v); val hi = ss.off(v + 1)
+    val ct = ss.codes(firstAbove(ss.cums, lo, hi, rnd.nextDouble() * ss.cums(hi - 1)))
+    expand(v, ct, verts, rows, rnd)
   }
 
   /** The first index i in [from, until) with cum(i) > x, for

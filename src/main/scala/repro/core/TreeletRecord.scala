@@ -37,20 +37,8 @@ final class TreeletRecord private[core] (val codes: Array[Long], private[core] v
   def weight(i: Int): Double =
     if (i == 0) U128.toDouble(eta, 0) else U128.subToDouble(eta, 2 * i, 2 * i - 2)
 
-  /** η of the i-th code as a double: non-decreasing in i. */
-  private def cumulative(i: Int): Double = U128.toDouble(eta, 2 * i)
-
   /** The sum of all counts: the number of colorful treelet copies rooted here. */
   def total: BigInt = if (size == 0) BigInt(0) else U128.toBigInt(eta, 2 * size - 2)
-
-  def totalWeight: Double = if (size == 0) 0.0 else cumulative(size - 1)
-
-  /** The first index i with η_i > x, for 0 ≤ x < [[totalWeight]]. */
-  def indexAbove(x: Double): Int = {
-    var lo = 0; var hi = size - 1
-    while (lo < hi) { val mid = (lo + hi) >>> 1; if (cumulative(mid) <= x) lo = mid + 1 else hi = mid }
-    lo
-  }
 
   /** The code-wise sum of two records. The cumulative count of a code in
     * the sum is the two records' cumulative counts up to that code, so the

@@ -260,12 +260,13 @@ object Experiments {
                       seed: Long = 6): (Double, Double) = {
     val colors = Coloring.uniform(k, seed).colors(g.n)
     val local = LocalEngine.buildUp(g, colors, k)
-    def pass(threshold: Int): () => Unit = {
-      val t = MotivoLocalTable.fromResult(local, bufferThreshold = threshold)
+    def pass(t: MotivoLocalTable): () => Unit = {
       val rnd = new Random(seed)
       () => (1 to samples).foreach(_ => t.sampleGraphlet(rnd))
     }
-    val (buffered, unbuffered) = (pass(200), pass(Int.MaxValue))
+    // buffered as every query builds it; unbuffered with no hub
+    val (buffered, unbuffered) = (pass(MotivoLocalTable.fromResult(local)),
+      pass(MotivoLocalTable.fromResult(local, bufferThreshold = Int.MaxValue)))
     val (tb, tu) = bestTimes(5)(buffered(), unbuffered())
     (samples / tb, samples / tu)
   }

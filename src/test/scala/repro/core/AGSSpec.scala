@@ -207,6 +207,26 @@ class AGSSpec extends SparkSpec {
     }
   }
 
+  test("k = 2 answers exactly on every entry point") {
+    // One free shape, the edge, holds the whole urn: t is the number of
+    // bichromatic edges, the edge is the only graphlet, and every estimate
+    // is t / p_2 = 2t.
+    val g = Generators.er(60, 150, seed = 109)
+    val edge = Graphlet.canonical(Array(0x2, 0x1))
+    for (run <- Seq(Motivo.runLocal(g, k = 2, budget = 500, seed = 23, cbar = 50),
+                    Motivo.runSparkBuild(spark, g, k = 2, budget = 500, seed = 23, cbar = 50),
+                    Motivo.runSparkFull(spark, g, k = 2, budget = 500, seed = 23, cbar = 50))) {
+      val c = run.coloring
+      val t = g.edgePairs.count { case (u, v) => c.colorOf(u.toLong) != c.colorOf(v.toLong) }
+      assert(t > 0 && run.totalTreelets == t)
+      assert(run.naiveHits.get.keySet == Set(edge) && run.ags.get.hits.keySet == Set(edge))
+      for (est <- Seq(run.naiveCounts, run.agsCounts)) {
+        assert(est.keySet == Set(edge))
+        assert(math.abs(est(edge) - 2.0 * t) <= 1e-12 * t, s"estimate ${est(edge)} for t = $t")
+      }
+    }
+  }
+
   test("AGS.naive and AGS.run reject a batch below 1") {
     val g = Generators.er(30, 80, seed = 89)
     val k = 3

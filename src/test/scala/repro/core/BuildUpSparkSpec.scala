@@ -135,17 +135,6 @@ class BuildUpSparkSpec extends SparkSpec {
     } finally build.unpersist()
   }
 
-  test("Spark DP without 0-rooting: factor-k identity") {
-    val g = Generators.er(30, 80, seed = 75)
-    val k = 4
-    val coloring = Coloring.uniform(k, seed = 6)
-    val zero = BuildUp.runLocalGraph(spark, g, coloring, zeroRoot = true)
-    val all = BuildUp.runLocalGraph(spark, g, coloring, zeroRoot = false)
-    try {
-      assert(all.totalTreelets == zero.totalTreelets * k)
-    } finally { zero.unpersist(); all.unpersist() }
-  }
-
   test("totalsByShape matches the reference DP") {
     val g = Generators.ringChords(25, 15, seed = 76)
     val k = 5
@@ -209,8 +198,8 @@ class BuildUpSparkSpec extends SparkSpec {
     val k = 3
     val coloring = Coloring.uniform(k, seed = 9)
     val colors = colorsArr(g, coloring)
-    val ref = LocalEngine.buildUp(g, colors, k, zeroRoot = false)
-    val build = BuildUp.runLocalGraph(spark, g, coloring, zeroRoot = false)
+    val ref = LocalEngine.buildUp(g, colors, k)
+    val build = BuildUp.runLocalGraph(spark, g, coloring)
     try {
       import spark.implicits._
       val refRows = (0 until g.n).flatMap(v =>

@@ -81,11 +81,6 @@ class ExactCountSpec extends SparkSpec {
     }
   }
 
-  test("maxSubgraphs cap triggers") {
-    val g = Generators.clique(10)
-    intercept[IllegalStateException](ExactCount.census(g, 4, maxSubgraphs = 5))
-  }
-
   test("lollipop contains Θ(n) path graphlets among Θ(n^k) total (Thm. 5 shape)") {
     val k = 4
     val g = Generators.lollipop(24, k - 2)
