@@ -60,17 +60,28 @@ object AGS {
           batch: Int = 256): AGSResult = {
     require(batch >= 1, s"batch=$batch must be ≥ 1")
     val k = sampler.k
-    val r = sampler.totalsByShape.filter(_._2 > 0)
-    require(r.nonEmpty, "urn is empty")
-    val shapes = r.keys.toArray
+    val rByShape = sampler.totalsByShape.filter(_._2 > 0)
+    require(rByShape.nonEmpty, "urn is empty")
+    // per-shape quantities are arrays indexed like `shapes`
+    val shapes = rByShape.keys.toArray
+    val r = shapes.map(rByShape)
+    val n = new Array[Long](shapes.length) // N_j
 
-    val hits = mutable.HashMap.empty[Long, Long].withDefaultValue(0L)
-    val nByShape = mutable.HashMap.empty[Int, Long].withDefaultValue(0L)
+    val hits = mutable.HashMap.empty[Long, Long]
     val covered = mutable.HashSet.empty[Long]
+    val sigmaRows = mutable.HashMap.empty[Long, Array[Double]]
+
+    /** σ_ij of graphlet `code` for every shape j. */
+    def sigmaRow(code: Long): Array[Double] = sigmaRows.getOrElseUpdate(code, {
+      val s = SpanningTrees.sigmaByShape(code, k)
+      shapes.map(j => s.getOrElse(j, 0L).toDouble)
+    })
 
     def weightOf(code: Long): Double = {
-      val s = SpanningTrees.sigmaByShape(code, k)
-      shapes.iterator.map(j => nByShape(j).toDouble * s.getOrElse(j, 0L).toDouble / r(j)).sum
+      val s = sigmaRow(code)
+      var w = 0.0
+      for (x <- shapes.indices) w += n(x).toDouble * s(x) / r(x)
+      w
     }
 
     /** Line 14 for every shape at once: the expected covered probability
@@ -80,32 +91,32 @@ object AGS {
     def coveredProbs(): Array[Double] = {
       val p = new Array[Double](shapes.length)
       for (code <- covered) {
-        val s = SpanningTrees.sigmaByShape(code, k)
+        val s = sigmaRow(code)
         val w = weightOf(code)
-        for (x <- shapes.indices) {
-          val sij = s.getOrElse(shapes(x), 0L).toDouble
-          if (sij > 0 && w > 0) p(x) += sij * (hits(code).toDouble / w) / r(shapes(x))
-        }
+        for (x <- shapes.indices)
+          if (s(x) > 0 && w > 0) p(x) += s(x) * (hits(code).toDouble / w) / r(x)
       }
       p
     }
 
-    var current = shapes.maxBy(r) // line 5: start anywhere; most mass first
+    var current = shapes.indices.maxBy(x => r(x)) // line 5: start anywhere; most mass first
     var taken = 0L
     var done = false
     while (taken < budget && !done) {
       val b = math.min(batch.toLong, budget - taken).toInt
-      val codes = sampler.sampleBatch(Some(current), b)
+      val codes = sampler.sampleBatch(Some(shapes(current)), b)
       taken += codes.size
-      nByShape(current) += codes.size
+      n(current) += codes.size
+      // a graphlet is covered by the batch that takes its hits to c̄
       var newlyCovered = false
-      for (c <- codes) {
-        hits(c) += 1
-        if (hits(c) == cbar) { covered += c; newlyCovered = true }
+      tally(codes) { (c, m) =>
+        val before = hits.getOrElse(c, 0L)
+        hits(c) = before + m
+        if (before < cbar && cbar <= before + m) { covered += c; newlyCovered = true }
       }
       if (newlyCovered) {
         val p = coveredProbs()
-        current = shapes(shapes.indices.minBy(x => (p(x), -r(shapes(x)))))
+        current = shapes.indices.minBy(x => (p(x), -r(x)))
         // Saturation stop: every shape's mass is (estimated) almost all covered.
         if (p.forall(_ >= Saturation)) done = true
       }
@@ -113,7 +124,8 @@ object AGS {
 
     val w = hits.keys.map(c => c -> weightOf(c)).toMap
     val est = hits.collect { case (c, h) if w(c) > 0 => c -> h.toDouble / w(c) }.toMap
-    AGSResult(hits.toMap, w, est, taken, nByShape.toMap, covered.toSet)
+    val byShape = shapes.indices.collect { case x if n(x) > 0 => shapes(x) -> n(x) }.toMap
+    AGSResult(hits.toMap, w, est, taken, byShape, covered.toSet)
   }
 
   /** Naive sampling through the same interface: unrestricted draws, CC's
@@ -121,14 +133,30 @@ object AGS {
     */
   def naive(sampler: ShapeSampling, budget: Long, batch: Int = 1024): Map[Long, Long] = {
     require(batch >= 1, s"batch=$batch must be ≥ 1")
-    val hits = mutable.HashMap.empty[Long, Long].withDefaultValue(0L)
+    val hits = mutable.HashMap.empty[Long, Long]
     var taken = 0L
     while (taken < budget) {
       val b = math.min(batch.toLong, budget - taken).toInt
       val codes = sampler.sampleBatch(None, b)
-      codes.foreach(c => hits(c) += 1)
+      tally(codes)((c, m) => hits(c) = hits.getOrElse(c, 0L) + m)
       taken += codes.size
     }
     hits.toMap
+  }
+
+  /** `f(code, multiplicity)` for each distinct code of a batch: the codes
+    * sorted, then counted by runs, so a map update costs one per code and
+    * not one per sample.
+    */
+  private def tally(codes: Seq[Long])(f: (Long, Long) => Unit): Unit = {
+    val a = codes.toArray
+    java.util.Arrays.sort(a)
+    var i = 0
+    while (i < a.length) {
+      var j = i + 1
+      while (j < a.length && a(j) == a(i)) j += 1
+      f(a(i), (j - i).toLong)
+      i = j
+    }
   }
 }

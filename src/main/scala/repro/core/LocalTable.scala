@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.{AtomicLongArray, AtomicReferenceArray}
 import repro.graph.LocalGraph
 import repro.graphlet.Graphlet
 import repro.treelet.{ColoredTreelet, TreeletEnum}
@@ -123,31 +123,40 @@ final class MotivoLocalTable(
     x
   }
 
-  // Memo caches of Σ_{u~v} c(ct, u), of the hub distributions and of the
-  // hubs' split weights. The keys go through splitmix64's finalizer, a
-  // bijection, so that boxed keys spread over the maps' bins (Long.hashCode
-  // of the raw mix does not).
-  private val sumCache = new ConcurrentHashMap[java.lang.Long, java.lang.Double]
-  private val hubCache = new ConcurrentHashMap[java.lang.Long, HubDist]
-  private val splitCache = new ConcurrentHashMap[java.lang.Long, Array[Double]]
-  private def cacheKey(h: Int, v: Int, ct: Long, hShift: Int): Long = {
-    var z = v.toLong * 0x9E3779B97F4A7C15L ^ ct ^ (h.toLong << hShift)
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-    z ^ (z >>> 31)
+  // Memos per (size h, vertex v), one slot per colored treelet of size h at
+  // its `ColoredTreelet.rank`: Σ_{u~v} c(ct, u), the hubs' neighbor
+  // distributions and the hubs' split weights. A row is made on its first
+  // use and each slot is filled on its first use, once: a slot's value does
+  // not depend on the thread that fills it.
+  private val slots = Array.tabulate(k + 1)(h => if (h == 0) 0 else ColoredTreelet.rankCount(h, k))
+  private val sums = Array.fill(k + 1)(new AtomicReferenceArray[AtomicLongArray](g.n))
+  private val hubDists = Array.fill(k + 1)(new AtomicReferenceArray[AtomicReferenceArray[HubDist]](g.n))
+  private val hubSplits = Array.fill(k + 1)(new AtomicReferenceArray[AtomicReferenceArray[Array[Double]]](g.n))
+
+  private def sumRow(h: Int, v: Int): AtomicLongArray = {
+    val row = sums(h).get(v)
+    if (row != null) row else { sums(h).compareAndSet(v, null, new AtomicLongArray(slots(h))); sums(h).get(v) }
   }
 
-  /** Σ_{u~v} c(ct, u) with memoization. */
+  private def refRow[A](rows: Array[AtomicReferenceArray[AtomicReferenceArray[A]]], h: Int, v: Int): AtomicReferenceArray[A] = {
+    val row = rows(h).get(v)
+    if (row != null) row else { rows(h).compareAndSet(v, null, new AtomicReferenceArray[A](slots(h))); rows(h).get(v) }
+  }
+
+  /** Σ_{u~v} c(ct, u) with memoization. An empty slot holds 0; a filled one
+    * holds the complement of the sum's bits, which is not 0 for a sum ≥ 0.
+    */
   private def neighborSum(h: Int, v: Int, ct: Long): Double = {
-    val key = cacheKey(h, v, ct, 56)
-    val hit = sumCache.get(key)
-    if (hit != null) hit
+    val row = sumRow(h, v)
+    val slot = ColoredTreelet.rank(ct, k)
+    val hit = row.get(slot)
+    if (hit != 0L) java.lang.Double.longBitsToDouble(~hit)
     else {
       var s = 0.0
       val d = g.degree(v)
       var i = 0
       while (i < d) { s += occCt(h, g.neighborAt(v, i), ct); i += 1 }
-      sumCache.putIfAbsent(key, s)
+      row.set(slot, ~java.lang.Double.doubleToRawLongBits(s))
       s
     }
   }
@@ -159,9 +168,11 @@ final class MotivoLocalTable(
   private final class HubDist(val nbrs: Array[Int], val cum: Array[Double])
 
   private def hubDist(h: Int, v: Int, ct: Long): HubDist = {
-    val key = cacheKey(h, v, ct, 52)
-    val hit = hubCache.get(key)
-    if (hit != null) hit else hubCache.computeIfAbsent(key, _ => {
+    val row = refRow(hubDists, h, v)
+    val slot = ColoredTreelet.rank(ct, k)
+    val hit = row.get(slot)
+    if (hit != null) hit
+    else {
       val d = g.degree(v)
       val nb = new mutable.ArrayBuilder.ofInt
       val cb = new mutable.ArrayBuilder.ofDouble
@@ -174,8 +185,9 @@ final class MotivoLocalTable(
         i += 1
       }
       require(s > 0, s"no neighbor of $v holds treelet ${ColoredTreelet.toPrettyString(ct)}")
-      new HubDist(nb.result(), cb.result())
-    })
+      row.compareAndSet(slot, null, new HubDist(nb.result(), cb.result()))
+      row.get(slot)
+    }
   }
 
   /** Draw u ~ v with probability ∝ c(ct, u): a binary search in the cached
@@ -251,17 +263,23 @@ final class MotivoLocalTable(
   }
 
   /** The cumulative weights over the color splits of `ct` at v of
-    * c(ct1, v) · Σ_{u~v} c(ct2, u), in the order of `splitPairs(ct)`.
+    * c(ct1, v) · Σ_{u~v} c(ct2, u), in the order of `splitPairs(ct)`. A
+    * split whose neighbor half ct2 holds v's color has c(ct1, v) = 0, so it
+    * is skipped before any lookup.
     */
   private def splitWeights(v: Int, ct: Long, splits: Array[Long]): Array[Double] = {
     val h1 = ColoredTreelet.size(splits(0))
     val h2 = ColoredTreelet.size(splits(1))
+    val own = 1 << colors(v)
     val cum = new Array[Double](splits.length / 2)
     var tot = 0.0
     var si = 0
     while (si < cum.length) {
-      val w1 = occCt(h1, v, splits(2 * si))
-      if (w1 != 0.0) tot += w1 * neighborSum(h2, v, splits(2 * si + 1))
+      val ct2 = splits(2 * si + 1)
+      if ((ColoredTreelet.colorMask(ct2) & own) == 0) {
+        val w1 = occCt(h1, v, splits(2 * si))
+        if (w1 != 0.0) tot += w1 * neighborSum(h2, v, ct2)
+      }
       cum(si) = tot
       si += 1
     }
@@ -273,9 +291,11 @@ final class MotivoLocalTable(
     * distributions (§3.2 buffering applied to the split choice).
     */
   private def hubSplitWeights(v: Int, ct: Long, splits: Array[Long]): Array[Double] = {
-    val key = cacheKey(ColoredTreelet.size(ct), v, ct, 52)
-    val hit = splitCache.get(key)
-    if (hit != null) hit else splitCache.computeIfAbsent(key, _ => splitWeights(v, ct, splits))
+    val row = refRow(hubSplits, ColoredTreelet.size(ct), v)
+    val slot = ColoredTreelet.rank(ct, k)
+    val hit = row.get(slot)
+    if (hit != null) hit
+    else { row.compareAndSet(slot, null, splitWeights(v, ct, splits)); row.get(slot) }
   }
 
   /** Recursive expansion (§2.2): pick a color split C' ⊎ C'' and a neighbor

@@ -1,6 +1,6 @@
 package repro.treelet
 
-import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicReferenceArray
 
 /** Colored rooted treelet codec (paper §3.1, Figure 1).
   *
@@ -54,19 +54,75 @@ object ColoredTreelet {
   def colorSplits(ct: Long): Seq[(Long, Long)] =
     splitPairs(ct).grouped(2).map(p => (p(0), p(1))).toSeq
 
-  private val splitMemo = new ConcurrentHashMap[java.lang.Long, Array[Long]]
+  /** The largest treelet size and color count the dense ranks cover. A
+    * rooted shape of h ≤ 8 nodes is a Dyck word of at most 14 bits,
+    * MSB-first, so `shape >>> 18` indexes it exactly.
+    */
+  final val MaxK = 8
 
-  /** [[colorSplits]] flattened to (ct1, ct2, ct1, ct2, …) and memoized per
-    * code: the sampler asks for it at every internal node of every sample.
-    * Callers must not mutate the returned array.
+  // C(n, r) for n, r ≤ MaxK
+  private val binom: Array[Array[Int]] = {
+    val c = Array.ofDim[Int](MaxK + 1, MaxK + 1)
+    for (n <- 0 to MaxK) { c(n)(0) = 1; for (r <- 1 to n) c(n)(r) = c(n - 1)(r - 1) + c(n - 1)(r) }
+    c
+  }
+
+  // rank of each rooted shape of ≤ MaxK nodes among rootedTrees(its size),
+  // at index shape >>> 18; −1 at every other index
+  private val shapeRanks: Array[Int] = {
+    val a = Array.fill(1 << 14)(-1)
+    for (h <- 1 to MaxK; (t, i) <- TreeletEnum.rootedTrees(h).zipWithIndex) a(t >>> 18) = i
+    a
+  }
+
+  // colex rank of each mask over [MaxK] among the masks of its size: the
+  // sum of C(c_i, i) over its colors c_1 < c_2 < …, which is below C(k, h)
+  // for h colors in [k]
+  private val maskRanks: Array[Int] = Array.tabulate(1 << MaxK) { m =>
+    (0 until MaxK).filter(c => ((m >> c) & 1) == 1).zipWithIndex.map { case (c, i) => binom(c)(i + 1) }.sum
+  }
+
+  /** R_h · C(k, h): the number of colored treelets of size h over colors [k]. */
+  def rankCount(h: Int, k: Int): Int = TreeletEnum.rootedTrees(h).length * binom(k)(h)
+
+  /** The rank of `ct` among the colored treelets of its size h over colors
+    * [k], for h ≤ k ≤ 8: its shape's rank among `rootedTrees(h)` times
+    * C(k, h), plus its color mask's rank among the h-subsets of [k]. A
+    * one-to-one map onto [0, rankCount(h, k)) that reads two tables. It
+    * checks nothing: callers pass codes of a table's records.
+    */
+  @inline def rank(ct: Long, k: Int): Int = {
+    val m = colorMask(ct)
+    shapeRanks(shape(ct) >>> 18) * binom(k)(Integer.bitCount(m)) + maskRanks(m)
+  }
+
+  // the split memo's first slot of each size h; sizes 2 to MaxK have slots
+  private val splitBase: Array[Int] =
+    (0 to MaxK).scanLeft(0)((b, h) => if (h < 2) b else b + rankCount(h, MaxK)).toArray
+
+  private val splitMemo = new AtomicReferenceArray[Array[Long]](splitBase(MaxK + 1))
+
+  /** [[colorSplits]] flattened to (ct1, ct2, ct1, ct2, …) and memoized at
+    * the code's rank: the samplers ask for it at every internal node of
+    * every sample. Codes of more than 8 nodes or with a color outside [8]
+    * are rejected. Callers must not mutate the returned array.
     */
   def splitPairs(ct: Long): Array[Long] = {
-    val hit = splitMemo.get(ct)
-    if (hit != null) hit else splitMemo.computeIfAbsent(ct, _ => {
+    val m = colorMask(ct)
+    val h = Integer.bitCount(m)
+    // a shape bit below the 14-bit word or a color ≥ MaxK is out of range
+    if ((ct & 0x3FFFFFF00L) != 0 || h < 2 || Treelet.size(shape(ct)) != h || shapeRanks(shape(ct) >>> 18) < 0)
+      throw new IllegalArgumentException(
+        s"not a colorful treelet of 2 to $MaxK nodes over colors [0, $MaxK): ${toPrettyString(ct)}")
+    val slot = splitBase(h) + rank(ct, MaxK)
+    val hit = splitMemo.get(slot)
+    if (hit != null) hit
+    else {
       val (s1, s2) = decompShapes(ct)
-      val cm = colorMask(ct)
-      subsetsOfSize(cm, Treelet.size(s2)).flatMap(c2 => Seq(pack(s1, cm & ~c2), pack(s2, c2))).toArray
-    })
+      val pairs = subsetsOfSize(m, Treelet.size(s2)).flatMap(c2 => Seq(pack(s1, m & ~c2), pack(s2, c2))).toArray
+      splitMemo.compareAndSet(slot, null, pairs)
+      splitMemo.get(slot)
+    }
   }
 
   /** All sub-masks of `mask` with exactly `want` bits set. */

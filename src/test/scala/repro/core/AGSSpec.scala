@@ -118,6 +118,24 @@ class AGSSpec extends SparkSpec {
       s"AGS never switched shapes: ${res.samplesByShape}")
   }
 
+  test("AGS covers a graphlet in the batch that takes its hits to c̄") {
+    val star = Graphlet.canonical(Array(0xE, 0x1, 0x1, 0x1))
+    val path = Graphlet.canonical(Array(0x2, 0x5, 0xA, 0x4))
+    val tailed = Graphlet.canonical(Array(0x6, 0x5, 0xB, 0x4))
+    // star lands on c̄ = 3 at the end of the second batch, path passes it
+    // inside that batch, and tailed stops below it
+    val script = Iterator(Seq(star, star, path, tailed), Seq(star, path, path, path))
+    val stub = new ShapeSampling {
+      val k = 4
+      val totalsByShape: Map[Int, Double] = repro.treelet.TreeletEnum.freeTrees(4).map(_ -> 1.0).toMap
+      def sampleBatch(shape: Option[Int], b: Int): Seq[Long] = script.next()
+    }
+    val res = AGS.run(stub, budget = 8, cbar = 3, batch = 4)
+    assert(res.hits == Map(star -> 3L, path -> 4L, tailed -> 1L))
+    assert(res.covered == Set(star, path))
+    assert(res.samplesByShape.values.sum == 8)
+  }
+
   test("saturation stop fires on a single-graphlet urn") {
     val g = Generators.clique(12)
     val k = 4

@@ -244,6 +244,23 @@ class TableSpec extends SparkSpec {
     }
   }
 
+  test("every draw equals a reference expansion with no memo, buffered or not") {
+    val g = Generators.starskew(600, hubs = 2, hubDeg = 500, bgEdges = 500, seed = 66)
+    assert((0 until g.n).exists(g.degree(_) >= 250))
+    for (k <- Seq(3, 5, 7, 8)) {
+      val r = LocalEngine.buildUp(g, colorsFor(g, k, 20), k)
+      val ref = new ReferenceExpansion(r)
+      val tables = Seq(10, 250, Int.MaxValue).map(th => th -> MotivoLocalTable.fromResult(r, bufferThreshold = th))
+      for (shape <- drawKinds(tables.head._2); s <- 1 to 20) {
+        val want = { val rnd = new Random(s); Seq.fill(3)(ref.sampleTreeletCopy(rnd, shape).toSeq) }
+        for ((th, t) <- tables) {
+          val rnd = new Random(s)
+          assert(Seq.fill(3)(t.sampleTreeletCopy(rnd, shape).toSeq) == want, s"k=$k threshold=$th shape=$shape seed=$s")
+        }
+      }
+    }
+  }
+
   test("the sampling chunks' generator draws java.util.Random's stream") {
     for (seed <- 1L to 20L) {
       val s = seed * 0x9E3779B97F4A7C15L

@@ -97,4 +97,35 @@ class ColoredTreeletSpec extends SparkSpec {
       }
     }
   }
+
+  test("rank maps rootedTrees(h) × h-subsets of [k] one-to-one onto [0, R_h·C(k, h))") {
+    for (k <- 1 to MaxK; h <- 1 to k) {
+      val masks = subsetsOfSize((1 << k) - 1, h)
+      val ranks = for (t <- TreeletEnum.rootedTrees(h); m <- masks) yield rank(pack(t, m), k)
+      assert(ranks.sorted == (0 until rankCount(h, k)), s"k=$k h=$h")
+    }
+  }
+
+  test("splitPairs gives every code over 8 colors its own splits") {
+    for (h <- 2 to MaxK; t <- TreeletEnum.rootedTrees(h); m <- subsetsOfSize(0xFF, h)) {
+      val ct = pack(t, m)
+      val (s1, s2) = Treelet.decomp(t)
+      val direct = subsetsOfSize(m, Treelet.size(s2)).flatMap(c2 => Seq(pack(s1, m & ~c2), pack(s2, c2)))
+      assert(splitPairs(ct).toSeq == direct, toPrettyString(ct))
+    }
+  }
+
+  test("splitPairs rejects a code outside 2 to 8 nodes over colors [0, 8)") {
+    val nine = TreeletEnum.rootedTrees(9).head
+    val bad = Seq(
+      "9 nodes" -> pack(nine, 0x1FF),
+      "a color ≥ 8" -> pack(TreeletEnum.pathRooted(3), 0x103),
+      "sizes differ" -> pack(TreeletEnum.pathRooted(3), 0x3),
+      "one node" -> singleton(2),
+      "not a shape" -> pack(0x40000000, 0x3))
+    for ((why, ct) <- bad) {
+      val e = intercept[IllegalArgumentException](splitPairs(ct))
+      assert(e.getMessage.contains("not a colorful treelet of 2 to 8 nodes"), s"$why: ${e.getMessage}")
+    }
+  }
 }
