@@ -47,7 +47,7 @@ class Table2BuildupBench extends SparkSpec {
   test("Figure 4: 0-rooting cuts build time") {
     val g = Generators.benchmarkSuite(scale).find(_._1 == "berkstan-lite").get._3
     val (tOn, tOff) = Experiments.zeroRootingImpact(g, 5)
-    println(f"[fig4] berkstan-lite k=5 build: 0-rooting=${tOn}%.2fs off=${tOff}%.2fs (${tOff / tOn}%.2fx)")
+    println(f"[fig4] berkstan-lite k=5 build: 0-rooting=${tOn}%.4fs off=${tOff}%.4fs (${tOff / tOn}%.2fx)")
     assert(tOn < tOff, "0-rooting should be faster (paper: 30–40% cut)")
   }
 

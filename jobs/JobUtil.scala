@@ -16,6 +16,10 @@ object JobUtil {
       // Off by default: without it AQE never coalesces the final shuffle of a
       // persisted plan, and every cached DP level keeps all shuffle partitions.
       .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", true)
+      // The status store keeps 1,000 jobs and stages by default, so a
+      // long-lived session's heap grows with every query until it is full.
+      .config("spark.ui.retainedJobs", 200)
+      .config("spark.ui.retainedStages", 200)
       .getOrCreate()
 
   def scaleArg(args: Array[String], default: Double = 1.0): Double =

@@ -133,11 +133,10 @@ object BuildUp {
       val nbrs = us.iterator.filter(_ != Sentinel).toArray.sorted
       for (i <- 1 until nbrs.length)
         require(nbrs(i - 1) < nbrs(i), s"vertex $v lists neighbor ${nbrs(i)} twice: a repeated arc")
-      val n1 = new TreeletRecord.Builder
-      nbrs.foreach(u => n1.addRecord(TreeletRecord.singleton(color(u))))
+      val n1 = TreeletRecord.sum(nbrs.iterator.map(u => TreeletRecord.singleton(color(u))))
       val c = color(v)
       v -> step(2, Vertex(c, nbrs, Array(TreeletRecord.Empty, TreeletRecord.singleton(c)),
-        Array(TreeletRecord.Empty)), n1.result())
+        Array(TreeletRecord.Empty)), n1)
     }, preservesPartitioning = true))
 
     for (h <- 3 to k) {

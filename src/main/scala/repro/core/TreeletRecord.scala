@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.treelet.{ColoredTreelet, Treelet, TreeletEnum}
+import repro.treelet.{ColoredTreelet, TreeletEnum}
 
 /** One vertex's colorful treelets of one size: the record of the paper's
   * count table (§3.2), written once by the build-up and read as it is by the
@@ -90,14 +90,18 @@ object TreeletRecord {
     *
     * `own(h1)` is v's record at size h1 < h; `addNbrSum(h2, b)` adds
     * N_{h2}(v) to the empty builder `b`. [[LocalEngine]] sums the neighbors'
-    * records there; [[BuildUp]] adds the sum its shuffle delivered.
+    * records there; [[BuildUp]] adds the sum its shuffle delivered. The
+    * sums go to the calling thread's two scratch builders, so neither
+    * callback may call `eq1` or [[sum]] again.
     */
   private[core] def eq1(h: Int, own: Int => TreeletRecord,
                         addNbrSum: (Int, Builder) => Unit): TreeletRecord = {
-    val out = new Builder
-    val nbr = new Builder
-    val c1 = new Array[Long](2)
-    val c = new Array[Long](2)
+    val s = scratch.get
+    val out = s.out
+    val nbr = s.nbr
+    val c1 = s.c1
+    val c = s.c
+    out.clear()
     var h2 = 1
     while (h2 < h) {
       val left = own(h - h2)
@@ -126,6 +130,24 @@ object TreeletRecord {
     out.result()
   }
 
+  /** The code-wise sum of `records`, in the calling thread's scratch. */
+  private[core] def sum(records: Iterator[TreeletRecord]): TreeletRecord = {
+    val b = scratch.get.nbr
+    b.clear()
+    records.foreach(b.addRecord)
+    b.result()
+  }
+
+  /** One thread's builders and 128-bit temporaries for [[eq1]]. */
+  private final class Scratch {
+    val out = new Builder
+    val nbr = new Builder
+    val c1 = new Array[Long](2)
+    val c = new Array[Long](2)
+  }
+
+  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+
   /** Copies per free treelet shape over records of one size: the r_j of
     * AGS when the records are level k's.
     */
@@ -139,35 +161,36 @@ object TreeletRecord {
     acc.map { case (j, t) => j -> U128.toBigInt(t, 0) }.toMap
   }
 
-  /** Sums of 128-bit counts per colored-treelet code: an open-addressing
-    * index over dense entry arrays, so the entries can be scanned in
-    * insertion order. One builder belongs to one thread.
+  /** Sums of 128-bit counts per colored-treelet code of 1 to 8 nodes over
+    * colors [8] (§3.2's flat arrays): entry arrays in insertion order, so
+    * the kernel scans them as they fill, and a direct index from each
+    * code's [[ColoredTreelet.slot]] to its entry. `clear()` frees only the
+    * slots in use, so one builder serves every vertex of a thread.
     */
   private[core] final class Builder {
-    private[core] var codes = new Array[Long](8)
-    private[core] var counts = new Array[Long](16)
+    private[core] val codes = new Array[Long](ColoredTreelet.SlotCount)
+    private[core] val counts = new Array[Long](2 * ColoredTreelet.SlotCount)
     private[core] var size = 0
-    private var index = new Array[Int](16) // entry + 1, or 0 when free
-    private val scratch = new Array[Long](2)
+    private val index = new Array[Int](ColoredTreelet.SlotCount) // entry + 1, or 0 when free
+    private val tmp = new Array[Long](2)
 
     def clear(): Unit = {
-      java.util.Arrays.fill(index, 0)
+      var e = 0
+      while (e < size) { index(ColoredTreelet.slot(codes(e))) = 0; e += 1 }
       java.util.Arrays.fill(counts, 0, 2 * size, 0L)
       size = 0
     }
 
     /** Adds the count in slot `j` of `src` to `code`'s sum. */
-    def add(code: Long, src: Array[Long], j: Int): Unit = {
-      val e = entry(code) // may grow `counts`
-      U128.add(counts, 2 * e, src, j)
-    }
+    def add(code: Long, src: Array[Long], j: Int): Unit =
+      U128.add(counts, 2 * entry(code), src, j)
 
     /** Adds every count of `r` to its code's sum. */
     def addRecord(r: TreeletRecord): Unit = {
       var j = 0
       while (j < r.size) {
-        r.countInto(j, scratch, 0)
-        add(r.codes(j), scratch, 0)
+        r.countInto(j, tmp, 0)
+        add(r.codes(j), tmp, 0)
         j += 1
       }
     }
@@ -176,7 +199,7 @@ object TreeletRecord {
     def divideByBeta(): Unit = {
       var e = 0
       while (e < size) {
-        val b = Treelet.beta(ColoredTreelet.shape(codes(e)))
+        val b = ColoredTreelet.beta(codes(e))
         if (b > 1) U128.divExact(counts, 2 * e, b, codes(e))
         e += 1
       }
@@ -190,7 +213,7 @@ object TreeletRecord {
       val eta = new Array[Long](2 * size)
       var i = 0
       while (i < size) {
-        val e = find(sorted(i))
+        val e = index(ColoredTreelet.slot(sorted(i))) - 1
         eta(2 * i) = counts(2 * e); eta(2 * i + 1) = counts(2 * e + 1)
         if (i > 0) U128.add(eta, 2 * i, eta, 2 * i - 2)
         i += 1
@@ -198,45 +221,17 @@ object TreeletRecord {
       new TreeletRecord(sorted, eta)
     }
 
-    private def slotOf(code: Long): Int = {
-      val h = code * 0x9E3779B97F4A7C15L
-      (h ^ (h >>> 32)).toInt & (index.length - 1)
-    }
-
-    private def find(code: Long): Int = {
-      var s = slotOf(code)
-      while (codes(index(s) - 1) != code) s = (s + 1) & (index.length - 1)
-      index(s) - 1
-    }
-
     /** The entry of `code`, added with a zero sum when absent. */
     private def entry(code: Long): Int = {
-      var s = slotOf(code)
-      while (index(s) != 0) {
-        val e = index(s) - 1
-        if (codes(e) == code) return e
-        s = (s + 1) & (index.length - 1)
-      }
-      if (2 * (size + 1) > index.length) { grow(); return entry(code) }
-      if (size == codes.length) {
-        codes = java.util.Arrays.copyOf(codes, 2 * size)
-        counts = java.util.Arrays.copyOf(counts, 4 * size)
-      }
+      val s = ColoredTreelet.slot(code)
+      val e = index(s) - 1
+      if (e >= 0) return e
+      require(ColoredTreelet.hasSlot(code),
+        s"not a colorful treelet of 1 to 8 nodes over colors [0, 8): ${ColoredTreelet.toPrettyString(code)}")
       codes(size) = code
       size += 1
       index(s) = size
       size - 1
-    }
-
-    private def grow(): Unit = {
-      index = new Array[Int](2 * index.length)
-      var e = 0
-      while (e < size) {
-        var s = slotOf(codes(e))
-        while (index(s) != 0) s = (s + 1) & (index.length - 1)
-        index(s) = e + 1
-        e += 1
-      }
     }
   }
 }

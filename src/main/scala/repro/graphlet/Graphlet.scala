@@ -101,7 +101,10 @@ object Graphlet {
     val k = adj.length
     require(k >= 1 && k <= MaxK, s"k=$k out of range [1, $MaxK]")
     // cache key must include k; pack k into high bits (codes use ≤28 bits).
-    val key = (k.toLong << 56) | degreeOrderedCode(adj)
+    // An odd multiplier is a bijection on Long, so the key stays exact; it
+    // spreads the codes' low bits, which would otherwise crowd a few of the
+    // map's bins into trees.
+    val key = ((k.toLong << 56) | degreeOrderedCode(adj)) * 0x9E3779B97F4A7C15L
     val hit = canonCache.get(key)
     if (hit != null) return hit.longValue
     val res = canonicalSearch(adj)

@@ -37,7 +37,8 @@ object ColoredTreelet {
     val c1 = colorMask(ct1); val c2 = colorMask(ct2)
     if ((c1 & c2) != 0) return -1L
     val s1 = shape(ct1); val s2 = shape(ct2)
-    if (!Treelet.canMerge(s1, s2)) return -1L
+    // Treelet.canMerge, read from the table when ct1 has at most MaxK nodes
+    if (Integer.compareUnsigned(s2, firstChild(s1)) > 0) return -1L
     pack(Treelet.merge(s1, s2), c1 | c2)
   }
 
@@ -96,32 +97,80 @@ object ColoredTreelet {
     shapeRanks(shape(ct) >>> 18) * binom(k)(Integer.bitCount(m)) + maskRanks(m)
   }
 
-  // the split memo's first slot of each size h; sizes 2 to MaxK have slots
-  private val splitBase: Array[Int] =
-    (0 to MaxK).scanLeft(0)((b, h) => if (h < 2) b else b + rankCount(h, MaxK)).toArray
+  // the first dense slot of each size h: the colored treelets of h nodes
+  // over colors [MaxK] fill [slotBase(h), slotBase(h + 1)) in rank order
+  private val slotBase: Array[Int] =
+    (0 to MaxK).scanLeft(0)((b, h) => if (h < 1) b else b + rankCount(h, MaxK)).toArray
 
-  private val splitMemo = new AtomicReferenceArray[Array[Long]](splitBase(MaxK + 1))
+  /** The number of dense slots: colored treelets of 1 to 8 nodes over colors [8]. */
+  final val SlotCount: Int = slotBase(MaxK + 1)
+
+  // slotBase(h) + rank · C(MaxK, h) of each rooted shape of h ≤ MaxK nodes,
+  // at index shape >>> 18; Int.MinValue at every other index, so that a
+  // slot read with any other word fails
+  private val shapeSlots: Array[Int] = {
+    val a = Array.fill(1 << 14)(Int.MinValue)
+    for (h <- 1 to MaxK; (t, i) <- TreeletEnum.rootedTrees(h).zipWithIndex) a(t >>> 18) = slotBase(h) + i * binom(MaxK)(h)
+    a
+  }
+
+  /** The dense slot of `ct` in [0, [[SlotCount]]): `rank(ct, MaxK)` offset
+    * by the slots of the smaller sizes, so every colored treelet of 1 to 8
+    * nodes over colors [8] has its own. Two table reads; like `rank` it
+    * checks nothing.
+    */
+  @inline def slot(ct: Long): Int = shapeSlots(shape(ct) >>> 18) + maskRanks(colorMask(ct))
+
+  /** True when `slot(ct)` is `ct`'s own: a colorful treelet of 1 to 8 nodes
+    * over colors [8]. A shape bit below the 14-bit word or a color ≥ MaxK is
+    * out of range.
+    */
+  def hasSlot(ct: Long): Boolean =
+    (ct & 0x3FFFFFF00L) == 0 && shapeSlots(shape(ct) >>> 18) >= 0 && isConsistent(ct)
+
+  // the first child (Treelet.decomp(t)._2) and β (Treelet.beta(t)) of every
+  // word t of at most 14 bits, at index t >>> 18: every rooted shape of 2 to
+  // MaxK nodes among them. The singleton's first child is the unsigned
+  // maximum, so every shape merges below it, and its β is 1.
+  private val firstChildren: Array[Int] =
+    Array.tabulate(1 << 14)(i => if (i == 0) -1 else Treelet.decomp(i << 18)._2)
+  private val betas: Array[Int] =
+    Array.tabulate(1 << 14)(i => if (i == 0) 1 else Treelet.beta(i << 18))
+
+  /** The first child of shape `t` as [[Treelet.decomp]] finds it: one table
+    * read for at most MaxK nodes. −1, above every shape, for the singleton.
+    */
+  private[treelet] def firstChild(t: Int): Int =
+    if ((t & 0x3FFFF) == 0) firstChildren(t >>> 18) else Treelet.decomp(t)._2
+
+  /** β of the shape of `ct` (Eq. 1), as [[Treelet.beta]] finds it: one table
+    * read for at most MaxK nodes.
+    */
+  def beta(ct: Long): Int = {
+    val t = shape(ct)
+    if ((t & 0x3FFFF) == 0) betas(t >>> 18) else Treelet.beta(t)
+  }
+
+  private val splitMemo = new AtomicReferenceArray[Array[Long]](SlotCount)
 
   /** [[colorSplits]] flattened to (ct1, ct2, ct1, ct2, …) and memoized at
-    * the code's rank: the samplers ask for it at every internal node of
+    * the code's [[slot]]: the samplers ask for it at every internal node of
     * every sample. Codes of more than 8 nodes or with a color outside [8]
     * are rejected. Callers must not mutate the returned array.
     */
   def splitPairs(ct: Long): Array[Long] = {
     val m = colorMask(ct)
-    val h = Integer.bitCount(m)
-    // a shape bit below the 14-bit word or a color ≥ MaxK is out of range
-    if ((ct & 0x3FFFFFF00L) != 0 || h < 2 || Treelet.size(shape(ct)) != h || shapeRanks(shape(ct) >>> 18) < 0)
+    if (Integer.bitCount(m) < 2 || !hasSlot(ct))
       throw new IllegalArgumentException(
         s"not a colorful treelet of 2 to $MaxK nodes over colors [0, $MaxK): ${toPrettyString(ct)}")
-    val slot = splitBase(h) + rank(ct, MaxK)
-    val hit = splitMemo.get(slot)
+    val at = slot(ct)
+    val hit = splitMemo.get(at)
     if (hit != null) hit
     else {
       val (s1, s2) = decompShapes(ct)
       val pairs = subsetsOfSize(m, Treelet.size(s2)).flatMap(c2 => Seq(pack(s1, m & ~c2), pack(s2, c2))).toArray
-      splitMemo.compareAndSet(slot, null, pairs)
-      splitMemo.get(slot)
+      splitMemo.compareAndSet(at, null, pairs)
+      splitMemo.get(at)
     }
   }
 

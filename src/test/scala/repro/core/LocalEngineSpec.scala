@@ -36,6 +36,30 @@ class LocalEngineSpec extends SparkSpec {
     acc.toMap
   }
 
+  /** Eq. (1) level by level over BigInt maps, each neighbor pair on its own,
+    * with the bit scans `Treelet.canMerge` and `Treelet.beta`: neither the
+    * kernel's builders nor the codec's shape tables. 0-rooted at level k.
+    */
+  private def referenceTables(g: LocalGraph, colors: Array[Int], k: Int): Array[Array[Map[Long, BigInt]]] = {
+    import repro.treelet.Treelet
+    val t = Array.fill(k + 1, g.n)(Map.empty[Long, BigInt])
+    for (v <- 0 until g.n) t(1)(v) = Map(ColoredTreelet.singleton(colors(v)) -> BigInt(1))
+    for (h <- 2 to k; v <- 0 until g.n if h < k || colors(v) == 0) {
+      val acc = collection.mutable.HashMap.empty[Long, BigInt].withDefaultValue(BigInt(0))
+      for (h2 <- 1 until h; (ct1, c1) <- t(h - h2)(v); u <- g.neighbors(v); (ct2, c2) <- t(h2)(u)) {
+        val (s1, s2) = (ColoredTreelet.shape(ct1), ColoredTreelet.shape(ct2))
+        val (m1, m2) = (ColoredTreelet.colorMask(ct1), ColoredTreelet.colorMask(ct2))
+        if ((m1 & m2) == 0 && Treelet.canMerge(s1, s2)) acc(ColoredTreelet.pack(Treelet.merge(s1, s2), m1 | m2)) += c1 * c2
+      }
+      t(h)(v) = acc.map { case (ct, c) =>
+        val b = Treelet.beta(ColoredTreelet.shape(ct))
+        assert(c % b == 0, ColoredTreelet.toPrettyString(ct))
+        ct -> c / b
+      }.toMap
+    }
+    t
+  }
+
   private def colorsFor(g: LocalGraph, k: Int, seed: Long): Array[Int] = {
     val c = repro.color.Coloring.uniform(k, seed)
     Array.tabulate(g.n)(v => c.colorOf(v.toLong))
@@ -170,6 +194,28 @@ class LocalEngineSpec extends SparkSpec {
       val viaGraphlets = gc.map { case (code, c) => c * SpanningTrees.sigma(code, k) }
         .foldLeft(BigInt(0))(_ + _)
       assert(viaGraphlets == r.totalTreelets, s"k=$k")
+    }
+  }
+
+  test("reused scratch builders leave nothing behind: k = 8, 3, 8 equal fresh builds and a BigInt reference") {
+    val g = Generators.er(24, 70, seed = 43)
+    // a pool of its own has new threads, so its build starts from new builders
+    def freshBuild(colors: Array[Int], k: Int): LocalEngine.Result = {
+      val pool = new java.util.concurrent.ForkJoinPool(2)
+      try pool.submit(() => LocalEngine.buildUp(g, colors, k)).get()
+      finally pool.shutdown()
+    }
+    for ((k, i) <- Seq(8, 3, 8).zipWithIndex) {
+      // each color on n / k vertices, so that level k has color-0 roots
+      val colors = new scala.util.Random(60 + i).shuffle(Seq.tabulate(g.n)(_ % k)).toArray
+      val r = LocalEngine.buildUp(g, colors, k)
+      val fresh = freshBuild(colors, k)
+      val ref = referenceTables(g, colors, k)
+      assert(r.totalTreelets > 0, s"k=$k")
+      for (h <- 1 to k; v <- 0 until g.n) {
+        assert(r.tables(h)(v) == fresh.tables(h)(v), s"run=$i k=$k h=$h v=$v")
+        assert(r.tables(h)(v).toMap == ref(h)(v), s"run=$i k=$k h=$h v=$v")
+      }
     }
   }
 

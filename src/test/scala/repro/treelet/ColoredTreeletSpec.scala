@@ -106,6 +106,51 @@ class ColoredTreeletSpec extends SparkSpec {
     }
   }
 
+  test("slot maps the colored treelets of 1 to 8 nodes over [8] one-to-one onto [0, SlotCount)") {
+    val slots = for (h <- 1 to MaxK; t <- TreeletEnum.rootedTrees(h); m <- subsetsOfSize(0xFF, h)) yield {
+      assert(hasSlot(pack(t, m)))
+      slot(pack(t, m))
+    }
+    assert(SlotCount == 1991)
+    assert(slots.sorted == (0 until SlotCount))
+    assert(!hasSlot(pack(TreeletEnum.rootedTrees(9).head, 0x1FF)))
+    assert(!hasSlot(pack(TreeletEnum.pathRooted(3), 0x103)))
+    assert(!hasSlot(pack(TreeletEnum.pathRooted(3), 0x3)))
+    assert(!hasSlot(pack(0x40000000, 0x3)))
+  }
+
+  test("the first-child and β tables equal decomp and beta for every rooted shape of 2 to 8 nodes") {
+    for (h <- 2 to MaxK; t <- TreeletEnum.rootedTrees(h)) {
+      assert(firstChild(t) == Treelet.decomp(t)._2, Treelet.toBitString(t))
+      assert(beta(pack(t, (1 << h) - 1)) == Treelet.beta(t), Treelet.toBitString(t))
+    }
+  }
+
+  test("the table-driven tryMerge equals the general path for every merge of at most 8 nodes") {
+    val rnd = new scala.util.Random(4)
+    def general(ct1: Long, ct2: Long): Long = {
+      val (s1, s2) = (shape(ct1), shape(ct2))
+      if ((colorMask(ct1) & colorMask(ct2)) != 0 || !Treelet.canMerge(s1, s2)) -1L
+      else pack(Treelet.merge(s1, s2), colorMask(ct1) | colorMask(ct2))
+    }
+    def colors(n: Int): Int = rnd.shuffle((0 until MaxK).toList).take(n).foldLeft(0)((m, c) => m | (1 << c))
+    var merged = 0
+    for (h1 <- 1 until MaxK; h2 <- 1 to MaxK - h1;
+         t1 <- TreeletEnum.rootedTrees(h1); t2 <- TreeletEnum.rootedTrees(h2)) {
+      // one pair of disjoint color sets and one drawn independently
+      val disjoint = rnd.shuffle((0 until MaxK).toList)
+      val m1 = disjoint.take(h1).foldLeft(0)((m, c) => m | (1 << c))
+      val m2 = disjoint.slice(h1, h1 + h2).foldLeft(0)((m, c) => m | (1 << c))
+      for ((a, b) <- Seq(m1 -> m2, colors(h1) -> colors(h2))) {
+        val (ct1, ct2) = (pack(t1, a), pack(t2, b))
+        val m = tryMerge(ct1, ct2)
+        assert(m == general(ct1, ct2), s"${toPrettyString(ct1)} ${toPrettyString(ct2)}")
+        if (m != -1L) merged += 1
+      }
+    }
+    assert(merged > 0)
+  }
+
   test("splitPairs gives every code over 8 colors its own splits") {
     for (h <- 2 to MaxK; t <- TreeletEnum.rootedTrees(h); m <- subsetsOfSize(0xFF, h)) {
       val ct = pack(t, m)
